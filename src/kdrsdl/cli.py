@@ -200,7 +200,8 @@ def cmd_bgsub(args):
     )
     fac = solve(x, config)
     scores = np.abs(fac.outliers)
-    auc_pooled = roc_auc(scores.ravel(), labels.ravel())
+    # both stacks are in the canonical column-major layout: flatten without a copy
+    auc_pooled = roc_auc(scores.reshape(-1, order="F"), labels.reshape(-1, order="F"))
     per_frame = []
     for i in range(x.shape[2]):
         frame_labels = labels[:, :, i]

@@ -11,6 +11,7 @@ column, then slice).
 """
 
 import json
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -57,8 +58,12 @@ def _format_value(value):
 
 
 def write_tensor(path, t):
-    """Write a 3-way tensor to ``path`` in the KDT container format."""
-    t = np.asarray(t, dtype=np.float64)
+    """Write a 3-way tensor to ``path`` in the KDT container format.
+
+    A float64 tensor in the canonical layout is written straight from
+    its buffer; any other input is converted once.
+    """
+    t = np.asarray(t, dtype="<f8", order="F")
     if t.ndim != 3:
         raise ValueError(f"expected a 3-way tensor, got ndim={t.ndim}")
     if not np.isfinite(t).all():
@@ -66,14 +71,17 @@ def write_tensor(path, t):
     m, n, num = t.shape
     with open(path, "wb") as fh:
         fh.write(KDT_HEADER.pack(KDT_MAGIC, m, n, num))
-        fh.write(np.ascontiguousarray(t.ravel(order="F"), dtype="<f8").tobytes())
+        # t.T is C-contiguous and holds the payload in file order
+        fh.write(memoryview(t.T).cast("B"))
 
 
 def read_tensor(path):
     """Read a KDT file back into an (m, n, N) float64 tensor.
 
-    Raises BadMagicError, TruncatedFileError, or NonFiniteValueError for
-    the corresponding kinds of malformed input.
+    The payload is read straight into a tensor in the canonical layout,
+    without an intermediate copy. Raises BadMagicError,
+    TruncatedFileError, or NonFiniteValueError for the corresponding
+    kinds of malformed input.
     """
     with open(path, "rb") as fh:
         header = fh.read(KDT_HEADER.size)
@@ -82,16 +90,18 @@ def read_tensor(path):
         magic, m, n, num = KDT_HEADER.unpack(header)
         if magic != KDT_MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
-        payload = fh.read()
-    count = m * n * num
-    if count == 0:
-        raise StorageError(f"{path}: header declares an empty tensor")
-    if len(payload) != 8 * count:
-        raise TruncatedFileError(
-            f"{path}: payload holds {len(payload)} bytes, header promises {8 * count}"
-        )
-    flat = np.frombuffer(payload, dtype="<f8")
-    t = flat.reshape((m, n, num), order="F").astype(np.float64)
+        count = m * n * num
+        if count == 0:
+            raise StorageError(f"{path}: header declares an empty tensor")
+        size = os.fstat(fh.fileno()).st_size - KDT_HEADER.size
+        if size != 8 * count:
+            raise TruncatedFileError(
+                f"{path}: payload holds {size} bytes, header promises {8 * count}"
+            )
+        t = np.empty((m, n, num), dtype="<f8", order="F")
+        if fh.readinto(memoryview(t.T).cast("B")) != 8 * count:
+            raise TruncatedFileError(f"{path}: payload ended early")
+    t = t.astype(np.float64, copy=False)
     if not np.isfinite(t).all():
         raise NonFiniteValueError(f"{path}: payload contains non-finite values")
     return t
@@ -160,22 +170,25 @@ def read_image(path):
 def read_image_stack(paths):
     """Read grayscale frames into an (m, n, N) tensor, one per slice.
 
-    All frames must be PGM files of identical dimensions.
+    All frames must be PGM files of identical dimensions. The tensor is
+    built in the canonical layout, one slice per frame as it is read.
     """
     paths = list(paths)
     if not paths:
         raise ValueError("no image paths given")
-    slices = []
-    for path in paths:
+    stack = None
+    for i, path in enumerate(paths):
         frame = read_image(path)
         if frame.ndim != 2:
             raise StorageError(f"{path}: expected grayscale PGM in a frame stack")
-        if slices and frame.shape != slices[0].shape:
+        if stack is None:
+            stack = np.empty(frame.shape + (len(paths),), order="F")
+        elif frame.shape != stack.shape[:2]:
             raise StorageError(
-                f"{path}: frame is {frame.shape}, stack is {slices[0].shape}"
+                f"{path}: frame is {frame.shape}, stack is {stack.shape[:2]}"
             )
-        slices.append(frame)
-    return np.stack(slices, axis=2)
+        stack[:, :, i] = frame
+    return stack
 
 
 def _quantize(values):

@@ -9,8 +9,6 @@ general non-symmetric case is rejected rather than silently mishandled.
 import numpy as np
 import scipy.linalg
 
-from .tensor import mode_product
-
 SYMMETRY_RTOL = 1e-12
 STEIN_MARGIN = 1e-12
 
@@ -22,7 +20,14 @@ def shrink(x, tau):
     """
     if tau < 0:
         raise ValueError(f"shrinkage threshold must be nonnegative, got {tau}")
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    x = np.asarray(x, dtype=np.float64)
+    out = np.abs(x, out=np.empty_like(x))
+    out -= tau
+    np.maximum(out, 0.0, out=out)
+    np.copysign(out, x, out=out)
+    # sign(-0.0) is 0, so -0.0 maps to +0.0, which copysign alone would not give
+    np.copyto(out, 0.0, where=x == 0)
+    return out
 
 
 def symmetric_eig(x):
@@ -47,7 +52,8 @@ def solve_stein(a, b, c):
     in O(r^3) time and O(r^2) space per right-hand side.
 
     c may be a single r x r matrix or a stack of them with shape
-    (r, r, N); the result has the same shape. Raises
+    (r, r, N); the result has the same shape, a stack in the canonical
+    layout of the tensor module. Raises
     numpy.linalg.LinAlgError when some |1 - d_i g_j| falls below 1e-12
     (the equation is singular or near-singular).
     """
@@ -67,10 +73,11 @@ def solve_stein(a, b, c):
     if c.ndim == 2:
         ct = qa.T @ c @ qb
         return qa @ (ct / denom) @ qb.T
-    # stack of right-hand sides along the last axis
-    ct = mode_product(mode_product(c, qa.T, 1), qb.T, 2)
-    ct /= denom[:, :, None]
-    return mode_product(mode_product(ct, qa, 1), qb, 2)
+    # stack of right-hand sides along the last axis: c.T holds the C_i.T,
+    # so the rotated C_i.T are qb.T @ C_i.T @ qa, one batched matmul each way
+    ct = qb.T @ c.T @ qa
+    ct /= denom.T
+    return (qb @ ct @ qa.T).T
 
 
 def solve_gram_system(target, gram):

@@ -12,6 +12,15 @@ the basis B (using the new A), every split slice K_i through a Stein
 equation, the core R by shrinkage, then both duals and the step sizes.
 Each step is an exact minimizer of the augmented Lagrangian in its own
 block.
+
+All tensors stay in the canonical layout of the tensor module, so each
+contraction of a pass is one GEMM on a free reshape or one batched
+matmul of small slices. A pass costs three low-rank rebuilds (outliers,
+dual step, residual check) and two products with the weighted data
+W = mu (X - E) + Lambda: one for the A target and the projection
+W_i.T @ A that both the B target and the split update reuse. W is formed
+once per pass, and elementwise updates reuse the buffers they read, so a
+pass holds at most five data-sized tensors at once.
 """
 
 import warnings
@@ -20,9 +29,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import shrink, solve_gram_system, solve_stein, thin_svd
-from .tensor import as_tensor, mode_product, reconstruct, slice_norms
+from .tensor import as_tensor, reconstruct, slice_norms
 
 TINY_DENOM = 1e-300
+ZERO_NORM_WARNING = "zero-norm slices in the convergence denominators"
 
 
 class SolverError(RuntimeError):
@@ -129,7 +139,7 @@ def initialize(x, config):
     r = config.r
     a_sum = np.zeros((m, r))
     b_sum = np.zeros((n, r))
-    core = np.zeros((r, r, num))
+    core = np.zeros((r, r, num), order="F")
     for i in range(num):
         u, s, v = thin_svd(x[:, :, i])
         u_r = u[:, :r].copy()
@@ -162,34 +172,79 @@ def initialize(x, config):
 
 
 def _update_outliers(x, a, b, split, dual_rec, mu, lam):
-    return shrink(x - reconstruct(split, a, b) + dual_rec / mu, lam / mu)
+    resid = reconstruct(split, a, b)
+    np.subtract(x, resid, out=resid)
+    resid += dual_rec / mu
+    return shrink(resid, lam / mu)
 
 
+def _weighted(x_fit, dual_rec, mu):
+    # W = mu (X - E) + Lambda, the data of both basis targets and the split
+    # update, computed in place in x_fit
+    x_fit *= mu
+    x_fit += dual_rec
+    return x_fit
+
+
+def _project(w, a):
+    # slices W_i.T @ a as one (N*n x m) @ (m x r) GEMM, stacked (N, n, r)
+    m, n, num = w.shape
+    return (w.T.reshape(num * n, m) @ a).reshape(num, n, -1)
+
+
+def _gram(stack, g):
+    # sum_i S_i.T @ g @ S_i over a (N, p, r) stack, g symmetric, as one GEMM
+    num, p, r = stack.shape
+    return (g @ stack).reshape(num * p, r).T @ stack.reshape(num * p, r)
+
+
+def _target_a(w, b, split):
+    # sum_i W_i @ (b @ K_i.T) as one (m x N*n) @ (N*n x r) GEMM
+    m, n, num = w.shape
+    bk = b @ split.T                                     # slices b @ K_i.T
+    return w.reshape(m, n * num, order="F") @ bk.reshape(num * n, -1)
+
+
+def _target_b(wa, split):
+    # sum_i (W_i.T @ a) @ K_i as one (n x N*r) @ (N*r x r) GEMM, wa = W.T a
+    num, n, r = wa.shape
+    k = split.transpose(2, 0, 1).reshape(num * r, -1)    # K_i stacked by rows
+    return wa.transpose(1, 0, 2).reshape(n, num * r) @ k
+
+
+def _basis_a(w, b, split, mu):
+    # A (I + mu sum_i K_i b.T b K_i.T) = sum_i W_i b K_i.T
+    gram = _gram(split.T, b.T @ b)
+    return solve_gram_system(_target_a(w, b, split), np.eye(len(gram)) + mu * gram)
+
+
+def _basis_b(wa, split, a, mu):
+    # B (I + mu sum_i K_i.T a.T a K_i) = sum_i W_i.T a K_i
+    gram = _gram(split.transpose(2, 0, 1), a.T @ a)
+    return solve_gram_system(_target_b(wa, split), np.eye(len(gram)) + mu * gram)
+
+
+def _split(wa, a, b, core, dual_split, mu, mu_k):
+    inner = (b.T @ wa).T                                 # slices a.T @ W_i @ b
+    rhs = (inner + dual_split) / mu_k + core
+    return solve_stein(-(mu / mu_k) * (a.T @ a), b.T @ b, rhs)
+
+
+# One block at a time, from x_fit = X - E: each builds its own W, while
+# iterate builds W once and calls the blocks above directly.
 def _update_basis_a(x_fit, dual_rec, b, split, mu):
-    w = mu * x_fit + dual_rec
-    bk = mode_product(np.swapaxes(split, 0, 1), b, 1)      # slices b @ K_i.T
-    target = np.einsum("ijk,jlk->il", w, bk)
-    gram_b = b.T @ b
-    gram = np.einsum("abk,bc,dck->ad", split, gram_b, split, optimize=True)
-    r = split.shape[0]
-    return solve_gram_system(target, np.eye(r) + mu * gram)
+    w = _weighted(x_fit.copy(order="K"), dual_rec, mu)
+    return _basis_a(w, b, split, mu)
 
 
 def _update_basis_b(x_fit, dual_rec, a, split, mu):
-    w = mu * x_fit + dual_rec
-    ak = mode_product(split, a, 1)                         # slices a @ K_i
-    target = np.einsum("ijk,ilk->jl", w, ak)
-    gram_a = a.T @ a
-    gram = np.einsum("bak,bc,cdk->ad", split, gram_a, split, optimize=True)
-    r = split.shape[0]
-    return solve_gram_system(target, np.eye(r) + mu * gram)
+    w = _weighted(x_fit.copy(order="K"), dual_rec, mu)
+    return _basis_b(_project(w, a), split, a, mu)
 
 
 def _update_split(x_fit, dual_rec, core, dual_split, a, b, mu, mu_k):
-    w = dual_rec + mu * x_fit
-    inner = mode_product(mode_product(w, a.T, 1), b.T, 2)  # slices a.T @ W_i @ b
-    rhs = (inner + dual_split) / mu_k + core
-    return solve_stein(-(mu / mu_k) * (a.T @ a), b.T @ b, rhs)
+    w = _weighted(x_fit.copy(order="K"), dual_rec, mu)
+    return _split(_project(w, a), a, b, core, dual_split, mu, mu_k)
 
 
 def _update_core(split, dual_split, mu_k, alpha):
@@ -199,26 +254,33 @@ def _update_core(split, dual_split, mu_k, alpha):
 def iterate(state, x, config):
     """Run one full pass and return the advanced state.
 
-    Numerical failures in the basis or split updates are re-raised as
-    SolverError carrying the pass number.
+    W = mu (X - E) + Lambda is formed once, and its projection W_i.T @ A
+    feeds both the B update and the split update. Numerical failures in
+    the basis or split updates are re-raised as SolverError carrying the
+    pass number.
     """
     mu, mu_k = state.mu, state.mu_k
     try:
         e = _update_outliers(
             x, state.a, state.b, state.split, state.dual_rec, mu, config.lam
         )
-        x_fit = x - e
-        a = _update_basis_a(x_fit, state.dual_rec, state.b, state.split, mu)
-        b = _update_basis_b(x_fit, state.dual_rec, a, state.split, mu)
-        k = _update_split(
-            x_fit, state.dual_rec, state.core, state.dual_split, a, b, mu, mu_k
-        )
+        w = _weighted(x - e, state.dual_rec, mu)
+        a = _basis_a(w, state.b, state.split, mu)
+        wa = _project(w, a)
+        del w  # freed before the dual step's rebuild, to bound the pass's memory
+        b = _basis_b(wa, state.split, a, mu)
+        k = _split(wa, a, b, state.core, state.dual_split, mu, mu_k)
         core = _update_core(k, state.dual_split, mu_k, config.alpha)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"iteration {state.iteration + 1}: {exc}", state.iteration + 1, None
         ) from exc
-    dual_rec = state.dual_rec + mu * (x_fit - reconstruct(k, a, b))
+    # Lambda + mu (X - E - a K_i b.T), accumulated in the rebuilt tensor
+    dual_rec = reconstruct(k, a, b)
+    np.subtract(x, dual_rec, out=dual_rec)
+    dual_rec -= e
+    dual_rec *= mu
+    dual_rec += state.dual_rec
     dual_split = state.dual_split + mu_k * (core - k)
     return SolverState(
         a=a,
@@ -236,6 +298,20 @@ def iterate(state, x, config):
     )
 
 
+def _residuals(state, x, x_sq):
+    # (err_rec, err_split, whether a denominator is zero), given x_sq, the
+    # squared slice norms of x
+    resid = reconstruct(state.core, state.a, state.b)
+    np.subtract(x, resid, out=resid)
+    resid -= state.outliers
+    resid_sq = slice_norms(resid) ** 2
+    core_sq = slice_norms(state.core) ** 2
+    gap_sq = slice_norms(state.core - state.split) ** 2
+    err_rec = float(np.max(resid_sq / np.maximum(x_sq, TINY_DENOM)))
+    err_split = float(np.max(gap_sq / np.maximum(core_sq, TINY_DENOM)))
+    return err_rec, err_split, bool(np.any(x_sq == 0) or np.any(core_sq == 0))
+
+
 def errors_of(state, x):
     """Worst-slice squared relative residuals (err_rec, err_split).
 
@@ -244,19 +320,9 @@ def errors_of(state, x):
     are guarded with a 1e-300 denominator floor and reported through a
     warning.
     """
-    resid = x - reconstruct(state.core, state.a, state.b) - state.outliers
-    x_sq = slice_norms(x) ** 2
-    core_sq = slice_norms(state.core) ** 2
-    if np.any(x_sq == 0) or np.any(core_sq == 0):
-        warnings.warn(
-            "zero-norm slices in the convergence denominators",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    resid_sq = slice_norms(resid) ** 2
-    gap_sq = slice_norms(state.core - state.split) ** 2
-    err_rec = float(np.max(resid_sq / np.maximum(x_sq, TINY_DENOM)))
-    err_split = float(np.max(gap_sq / np.maximum(core_sq, TINY_DENOM)))
+    err_rec, err_split, degenerate = _residuals(state, x, slice_norms(x) ** 2)
+    if degenerate:
+        warnings.warn(ZERO_NORM_WARNING, RuntimeWarning, stacklevel=2)
     return err_rec, err_split
 
 
@@ -294,8 +360,10 @@ def solve(x, config=None):
         x.shape[0], x.shape[1]
     )
     state = initialize(x, cfg)
+    x_sq = slice_norms(x) ** 2
     trace = np.zeros((cfg.max_iter, 4))
     converged = False
+    warned = False
     done = 0
     for t in range(cfg.max_iter):
         mu, mu_k = state.mu, state.mu_k
@@ -304,7 +372,10 @@ def solve(x, config=None):
         except SolverError as exc:
             exc.trace = trace[:done].copy()
             raise
-        err_rec, err_split = errors_of(state, x)
+        err_rec, err_split, degenerate = _residuals(state, x, x_sq)
+        if degenerate and not warned:
+            warnings.warn(ZERO_NORM_WARNING, RuntimeWarning, stacklevel=2)
+            warned = True
         trace[t] = (err_rec, err_split, mu, mu_k)
         done = t + 1
         if max(err_rec, err_split) <= cfg.epsilon:

@@ -74,8 +74,9 @@ def generate(spec):
     core = rng.standard_normal((spec.r, spec.r, spec.num_slices))
     low_rank = reconstruct(core, a, b)
     half = (1.0 - spec.p) / 2.0
-    outliers = rng.choice(
-        [-1.0, 0.0, 1.0], p=[half, spec.p, half], size=low_rank.shape
+    # drawn in C order, kept in the canonical layout like every other tensor
+    outliers = np.asfortranarray(
+        rng.choice([-1.0, 0.0, 1.0], p=[half, spec.p, half], size=low_rank.shape)
     )
     truth = GroundTruth(low_rank=low_rank, outliers=outliers, a=a, b=b, core=core)
     return low_rank + outliers, truth

@@ -2,8 +2,16 @@
 
 A tensor is a stack of N frontal slices of size m x n, indexed along the
 last axis: slice i is ``t[:, :, i]``. All routines expect float64 data.
-The canonical element order (used by the on-disk format) is Fortran order
-of this shape: row index fastest, then column, then slice.
+
+The canonical layout is Fortran order of this shape: row index fastest,
+then column, then slice. It is the element order of the on-disk format,
+so files are read and written without a copy, and it makes ``t.T`` a free
+C-contiguous (N, n, m) stack of the transposed slices. Every product with
+a basis is written on that stack: a mode-1 product is one tall GEMM,
+because the transposed slices stack into one (N*n x m) matrix, and a
+mode-2 product is one batched ``matmul``. Routines accept any layout and
+return the canonical one; input in another layout costs a copy wherever
+a free reshape is impossible.
 """
 
 import numpy as np
@@ -12,10 +20,12 @@ import numpy as np
 def as_tensor(data):
     """Coerce array-like data to a float64 3-way tensor, validating it.
 
-    Raises ValueError if the input is not 3-dimensional, is empty, or
-    contains NaN/Inf entries.
+    The result is in the canonical (Fortran) layout; data already in it
+    is returned as is, anything else costs exactly one copy. Raises
+    ValueError if the input is not 3-dimensional, is empty, or contains
+    NaN/Inf entries.
     """
-    t = np.asarray(data, dtype=np.float64)
+    t = np.asarray(data, dtype=np.float64, order="F")
     if t.ndim != 3:
         raise ValueError(f"expected a 3-way tensor, got ndim={t.ndim}")
     if t.size == 0:
@@ -31,6 +41,17 @@ def frontal_slice(t, i):
     if not 0 <= i < n_slices:
         raise IndexError(f"slice index {i} out of range for {n_slices} slices")
     return t[:, :, i]
+
+
+def _mode1(t, u):
+    # slices u @ T_i: (T_i.T @ u.T) for all i is one (N*n x m) @ (m x p) GEMM
+    m, n, num = t.shape
+    return (t.T.reshape(num * n, m) @ u.T).reshape(num, n, u.shape[0]).T
+
+
+def _mode2(t, u):
+    # slices T_i @ u.T: (u @ T_i.T) for all i as one batched matmul
+    return np.matmul(u, t.T).T
 
 
 def mode_product(t, u, mode):
@@ -51,13 +72,13 @@ def mode_product(t, u, mode):
             raise ValueError(
                 f"mode-1 product needs u.shape[1] == {t.shape[0]}, got {u.shape}"
             )
-        return np.tensordot(u, t, axes=(1, 0))
+        return _mode1(t, u)
     if mode == 2:
         if u.shape[1] != t.shape[1]:
             raise ValueError(
                 f"mode-2 product needs u.shape[1] == {t.shape[1]}, got {u.shape}"
             )
-        return np.swapaxes(np.tensordot(u, t, axes=(1, 1)), 0, 1)
+        return _mode2(t, u)
     raise ValueError(f"mode must be 1 or 2, got {mode!r}")
 
 
@@ -65,13 +86,15 @@ def reconstruct(core, a, b):
     """Assemble the low-rank tensor with slices a @ R_i @ b.T.
 
     core has shape (r, r, N), a is m x r, b is n x r; the result is
-    (m, n, N).
+    (m, n, N). The small products a @ R_i come first, as one GEMM, then
+    one batched matmul with b, so the result equals the mode-1 then
+    mode-2 product bit for bit.
     """
     if a.shape[1] != core.shape[0] or b.shape[1] != core.shape[1]:
         raise ValueError(
             f"bases {a.shape} x {b.shape} incompatible with core {core.shape}"
         )
-    return mode_product(mode_product(core, a, 1), b, 2)
+    return _mode2(_mode1(core, a), b)
 
 
 def flatten_slices(t):

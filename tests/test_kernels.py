@@ -1,0 +1,88 @@
+"""Slice-major kernels of a solver pass against einsum references.
+
+Each kernel is one GEMM on a reshaped stack or one batched matmul; the
+references spell out the same sums index by index. Inputs come in either
+memory order, since the kernels must accept any layout.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kdrsdl import mode_product, reconstruct, solve_stein
+from kdrsdl.solver import _gram, _project, _target_a, _target_b
+
+RTOL = 1e-12
+
+dims = st.integers(min_value=1, max_value=7)
+shapes = settings(max_examples=60, deadline=None)
+
+
+def draw(rng, shape, order):
+    return np.asarray(rng.standard_normal(shape), order=order)
+
+
+def assert_close(got, expected):
+    scale = max(1.0, float(np.abs(expected).max()))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=RTOL * scale)
+
+
+@shapes
+@given(m=dims, n=dims, r=dims, num=dims, seed=st.integers(0, 2**32 - 1),
+       order=st.sampled_from("CF"))
+@example(m=1, n=1, r=1, num=1, seed=0, order="C")
+@example(m=1, n=4, r=3, num=2, seed=1, order="F")
+def test_rebuild_matches_einsum(m, n, r, num, seed, order):
+    rng = np.random.default_rng(seed)
+    core = draw(rng, (r, r, num), order)
+    a, b = draw(rng, (m, r), order), draw(rng, (n, r), order)
+    got = reconstruct(core, a, b)
+    assert got.shape == (m, n, num)
+    assert got.flags.f_contiguous
+    assert_close(got, np.einsum("ia,abk,jb->ijk", a, core, b))
+    assert got.tobytes() == mode_product(mode_product(core, a, 1), b, 2).tobytes()
+
+
+@shapes
+@given(m=dims, n=dims, r=dims, num=dims, seed=st.integers(0, 2**32 - 1),
+       order=st.sampled_from("CF"))
+@example(m=1, n=1, r=1, num=1, seed=0, order="F")
+@example(m=1, n=5, r=1, num=3, seed=2, order="C")
+def test_basis_targets_match_einsum(m, n, r, num, seed, order):
+    rng = np.random.default_rng(seed)
+    w = draw(rng, (m, n, num), order)
+    a, b = draw(rng, (m, r), order), draw(rng, (n, r), order)
+    split = draw(rng, (r, r, num), order)
+    wa = _project(w, a)
+    assert_close(wa, np.einsum("jki,jc->ikc", w, a))
+    assert_close(_target_a(w, b, split), np.einsum("jki,kc,lci->jl", w, b, split))
+    assert_close(_target_b(wa, split), np.einsum("jki,jc,cli->kl", w, a, split))
+
+
+@shapes
+@given(p=dims, r=dims, num=dims, seed=st.integers(0, 2**32 - 1),
+       order=st.sampled_from("CF"))
+@example(p=1, r=1, num=1, seed=0, order="C")
+def test_gram_matches_einsum(p, r, num, seed, order):
+    rng = np.random.default_rng(seed)
+    stack = draw(rng, (num, p, r), order)
+    root = rng.standard_normal((p, p))
+    g = root @ root.T
+    assert_close(_gram(stack, g), np.einsum("iap,ab,ibq->pq", stack, g, stack))
+
+
+@shapes
+@given(r=dims, num=dims, seed=st.integers(0, 2**32 - 1), order=st.sampled_from("CF"))
+@example(r=1, num=1, seed=0, order="F")
+def test_stein_stack_matches_einsum(r, num, seed, order):
+    rng = np.random.default_rng(seed)
+    qa_root, qb_root = rng.standard_normal((r, r)), rng.standard_normal((r, r))
+    lhs, rhs = -(qa_root @ qa_root.T), qb_root @ qb_root.T
+    c = draw(rng, (r, r, num), order)
+    got = solve_stein(lhs, rhs, c)
+    d, qa = np.linalg.eigh(lhs)
+    g, qb = np.linalg.eigh(rhs)
+    rotated = np.einsum("ba,bci,cd->adi", qa, c, qb) / (1.0 - np.outer(d, g))[:, :, None]
+    assert got.shape == (r, r, num)
+    assert_close(got, np.einsum("ab,bci,dc->adi", qa, rotated, qb))
+    assert_close(got - np.einsum("ab,bci,cd->adi", lhs, got, rhs), c)

@@ -1,5 +1,6 @@
 """Solver configuration, initialization, iteration, and convergence."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -312,3 +313,36 @@ def test_solver_error_carries_iteration_and_trace():
     assert isinstance(err, RuntimeError)
     assert err.iteration == 3
     assert err.trace.shape == (2, 4)
+
+
+def test_zero_slice_warning_fires_once_per_solve():
+    spec = SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0)
+    x, _ = generate(spec)
+    x[:, :, 2] = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fac = solve(x, SolverConfig(r=3, epsilon=1e-300, max_iter=25))
+    assert fac.iterations == 25
+    flagged = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(flagged) == 1
+    assert "zero-norm" in str(flagged[0].message)
+
+
+def test_solve_bit_identical_in_c_and_fortran_order():
+    spec = SyntheticSpec(m=50, n=50, num_slices=20, rank_a=5, rank_b=5, r=10, p=0.7, seed=1)
+    x, _ = generate(spec)
+    c_order = solve(np.ascontiguousarray(x), SolverConfig(r=10))
+    f_order = solve(np.asfortranarray(x), SolverConfig(r=10))
+    assert c_order.iterations == f_order.iterations
+    assert c_order.core.tobytes() == f_order.core.tobytes()
+    assert c_order.trace.tobytes() == f_order.trace.tobytes()
+
+
+@pytest.mark.parametrize("seed, passes", [(0, 35), (1, 33)])
+def test_pass_counts_pinned(seed, passes):
+    """Passes to the default tolerance; a layout or kernel change must not add any."""
+    spec = SyntheticSpec(m=50, n=50, num_slices=20, rank_a=5, rank_b=5, r=10, p=0.7, seed=seed)
+    x, _ = generate(spec)
+    fac = solve(x, SolverConfig(r=10))
+    assert fac.converged
+    assert fac.iterations == passes
