@@ -16,9 +16,9 @@ from .io import (
     write_image,
     write_tensor,
 )
-from .linalg import kron, shrink, solve_gram_system, solve_stein, symmetric_eig, thin_svd
-from .metrics import MetricsReport, psnr, relative_error, roc_auc
-from .rpca import RpcaResult, rpca_ialm, svt
+from .linalg import shrink, solve_gram_system, solve_stein, symmetric_eig, thin_svd
+from .metrics import psnr, relative_error, roc_auc
+from .rpca import RpcaResult, rpca_ialm, rpca_slices, svt
 from .solver import (
     Factorization,
     SolverConfig,
@@ -31,21 +31,13 @@ from .solver import (
     solve,
 )
 from .synthetic import GroundTruth, SyntheticSpec, density, generate
-from .tensor import (
-    as_tensor,
-    flatten_slices,
-    frontal_slice,
-    mode_product,
-    reconstruct,
-    unflatten_slices,
-)
+from .tensor import as_tensor, mode_product, reconstruct
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Factorization",
     "GroundTruth",
-    "MetricsReport",
     "RpcaResult",
     "SolverConfig",
     "SolverError",
@@ -54,12 +46,9 @@ __all__ = [
     "as_tensor",
     "density",
     "errors_of",
-    "flatten_slices",
-    "frontal_slice",
     "generate",
     "initialize",
     "iterate",
-    "kron",
     "lagrangian",
     "load_bundle",
     "mode_product",
@@ -71,6 +60,7 @@ __all__ = [
     "relative_error",
     "roc_auc",
     "rpca_ialm",
+    "rpca_slices",
     "save_bundle",
     "shrink",
     "solve",
@@ -79,7 +69,6 @@ __all__ = [
     "svt",
     "symmetric_eig",
     "thin_svd",
-    "unflatten_slices",
     "write_image",
     "write_tensor",
 ]

@@ -10,9 +10,10 @@ Subcommands:
 * ``eval``       compare two stored tensors
 
 Every command writes its artifacts under --out-dir, including a
-manifest.json recording the effective parameters and seed, so a run can
-be replayed exactly. Exit codes: 0 on success, 1 when the solver fails,
-2 for usage errors (bad flags, missing or malformed inputs).
+metrics.csv and a manifest.json recording the effective parameters and
+seed, so a run can be rerun with the same parameters. Exit codes: 0 on
+success, 1 when the solver fails, 2 for usage errors (bad flags, missing
+or malformed inputs).
 """
 
 import argparse
@@ -35,10 +36,9 @@ from .io import (
     write_tensor,
 )
 from .metrics import psnr, relative_error, roc_auc
-from .rpca import rpca_ialm
+from .rpca import default_lam, rpca_slices
 from .solver import SolverConfig, SolverError, solve
 from .synthetic import PRNG_ALGORITHM, SyntheticSpec, density, generate
-from .tensor import frontal_slice
 
 
 def _fail(message):
@@ -48,6 +48,22 @@ def _fail(message):
 
 def _expand(pattern):
     return sorted(glob.glob(pattern))
+
+
+def _write_run(out_dir, metrics, manifest=None, arrays=()):
+    """Create out_dir and write a run's arrays, metrics.csv and manifest.json.
+
+    arrays yields (file name, data) pairs: .kdt names are written as
+    tensors, all others as images. manifest is None when save_bundle has
+    already written it.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in arrays:
+        (write_tensor if name.endswith(".kdt") else write_image)(out_dir / name, data)
+    write_metrics(out_dir / "metrics.csv", metrics)
+    if manifest is not None:
+        write_manifest(out_dir / "manifest.json", manifest)
 
 
 def _denoise_alpha(noise_level):
@@ -72,7 +88,6 @@ def cmd_synth(args):
     start = time.perf_counter()
     fac = solve(x, config)
     elapsed = time.perf_counter() - start
-    out_dir = Path(args.out_dir)
     extra = {
         "command": "synth",
         "m": args.m,
@@ -84,7 +99,7 @@ def cmd_synth(args):
         "seed": args.seed,
         "prng": PRNG_ALGORITHM,
     }
-    save_bundle(out_dir, fac, config, extra=extra)
+    save_bundle(args.out_dir, fac, config, extra=extra)
     truth_e_norm = np.linalg.norm(truth.outliers)
     values = {
         "relative_error_low_rank": relative_error(fac.low_rank(), truth.low_rank),
@@ -100,7 +115,7 @@ def cmd_synth(args):
         "iterations": fac.iterations,
         "converged": fac.converged,
     }
-    write_metrics(out_dir / "metrics.csv", values)
+    _write_run(args.out_dir, values)
     print(
         f"solved in {fac.iterations} iterations, {elapsed:.2f} s; "
         f"error on L = {values['relative_error_low_rank']:.3e}"
@@ -120,8 +135,8 @@ def cmd_decompose(args):
     start = time.perf_counter()
     fac = solve(x, config)
     elapsed = time.perf_counter() - start
-    out_dir = Path(args.out_dir)
-    save_bundle(out_dir, fac, config, extra={"command": "decompose", "input": args.input})
+    extra = {"command": "decompose", "input": args.input}
+    save_bundle(args.out_dir, fac, config, extra=extra)
     values = {
         "err_rec": fac.trace[-1, 0],
         "err_split": fac.trace[-1, 1],
@@ -129,51 +144,32 @@ def cmd_decompose(args):
         "iterations": fac.iterations,
         "converged": fac.converged,
     }
-    write_metrics(out_dir / "metrics.csv", values)
+    _write_run(args.out_dir, values)
     print(f"solved in {fac.iterations} iterations, {elapsed:.2f} s")
     return 0
 
 
 def cmd_rpca(args):
     x = read_tensor(args.input)
-    low_rank = np.empty_like(x)
-    sparse = np.empty_like(x)
-    iterations = 0
-    converged = True
+    lam = default_lam(x.shape[0], x.shape[1]) if args.lam is None else args.lam
     start = time.perf_counter()
-    for i in range(x.shape[2]):
-        result = rpca_ialm(
-            frontal_slice(x, i),
-            lam=args.lam,
-            epsilon=args.epsilon,
-            max_iter=args.max_iter,
-        )
-        low_rank[:, :, i] = result.low_rank
-        sparse[:, :, i] = result.sparse
-        iterations = max(iterations, result.iterations)
-        converged = converged and result.converged
+    result = rpca_slices(x, lam=lam, epsilon=args.epsilon, max_iter=args.max_iter)
     elapsed = time.perf_counter() - start
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_tensor(out_dir / "low_rank.kdt", low_rank)
-    write_tensor(out_dir / "sparse.kdt", sparse)
-    write_metrics(
-        out_dir / "metrics.csv",
+    _write_run(
+        args.out_dir,
         {
-            "outlier_density": density(sparse),
-            "iterations": iterations,
-            "converged": converged,
+            "outlier_density": density(result.sparse),
+            "iterations": result.iterations,
+            "converged": result.converged,
         },
-    )
-    write_manifest(
-        out_dir / "manifest.json",
         {
             "command": "rpca",
             "input": args.input,
-            "lam": args.lam,
+            "lam": lam,
             "epsilon": args.epsilon,
             "max_iter": args.max_iter,
         },
+        [("low_rank.kdt", result.low_rank), ("sparse.kdt", result.sparse)],
     )
     print(f"decomposed {x.shape[2]} slices in {elapsed:.2f} s")
     return 0
@@ -211,14 +207,13 @@ def cmd_bgsub(args):
     if not per_frame:
         return _fail("no frame has both foreground and background pixels")
     auc_per_frame = float(np.mean(per_frame))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     peak = scores.max()
-    for i in range(x.shape[2]):
-        foreground = scores[:, :, i] / peak if peak > 0 else scores[:, :, i]
-        write_image(out_dir / f"foreground_{i:03d}.pgm", foreground)
-    write_metrics(
-        out_dir / "metrics.csv",
+    foreground = (
+        (f"foreground_{i:03d}.pgm", scores[:, :, i] / peak if peak > 0 else scores[:, :, i])
+        for i in range(x.shape[2])
+    )
+    _write_run(
+        args.out_dir,
         {
             "auc_pooled": auc_pooled,
             "auc_per_frame": auc_per_frame,
@@ -227,21 +222,18 @@ def cmd_bgsub(args):
             "iterations": fac.iterations,
             "converged": fac.converged,
         },
-    )
-    write_manifest(
-        out_dir / "manifest.json",
         {
             "command": "bgsub",
             "frames": ";".join(frame_paths),
             "mask_frames": ";".join(mask_paths),
-            "pooling": args.pooling,
             "config.r": config.r,
             "config.lam": config.lam,
             "config.alpha": config.alpha,
         },
+        foreground,
     )
-    selected = auc_per_frame if args.pooling == "per-frame" else auc_pooled
-    print(f"auc ({args.pooling}): {selected:.6f}")
+    print(f"auc (pooled): {auc_pooled:.6f}")
+    print(f"auc (per-frame): {auc_per_frame:.6f}")
     return 0
 
 
@@ -257,9 +249,7 @@ def _denoise_tensor(noisy, method, r, alpha):
         config = SolverConfig(r=r, alpha=alpha).resolved(noisy.shape[0], noisy.shape[1])
         recovered = solve(noisy, config).low_rank()
     else:
-        recovered = np.empty_like(noisy)
-        for i in range(noisy.shape[2]):
-            recovered[:, :, i] = rpca_ialm(frontal_slice(noisy, i)).low_rank
+        recovered = rpca_slices(noisy).low_rank
     return np.clip(recovered, 0.0, 1.0)
 
 
@@ -273,8 +263,6 @@ def cmd_denoise(args):
     kinds = {img.ndim for img in images}
     if len(kinds) > 1:
         return _fail("cannot mix grayscale and color images in one run")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     alpha = _denoise_alpha(args.noise_level)
     if kinds == {2}:
@@ -292,6 +280,7 @@ def cmd_denoise(args):
     recovered = [_denoise_tensor(n, args.method, args.r, alpha) for n in noisy]
     values = {}
     psnrs_in, psnrs_out = [], []
+    files = []
     idx = 0
     for c, n, rec in zip(clean, noisy, recovered):
         if ext == "pgm":
@@ -299,8 +288,8 @@ def cmd_denoise(args):
         else:
             items = [(c, n, rec)]
         for c_img, n_img, r_img in items:
-            write_image(out_dir / f"corrupted_{idx:03d}.{ext}", n_img)
-            write_image(out_dir / f"recovered_{idx:03d}.{ext}", r_img)
+            files.append((f"corrupted_{idx:03d}.{ext}", n_img))
+            files.append((f"recovered_{idx:03d}.{ext}", r_img))
             p_in = psnr(n_img, c_img, peak=1.0)
             p_out = psnr(r_img, c_img, peak=1.0)
             values[f"image_{idx:03d}_psnr_input"] = p_in
@@ -310,9 +299,9 @@ def cmd_denoise(args):
             idx += 1
     values["mean_psnr_input"] = float(np.mean(psnrs_in))
     values["mean_psnr"] = float(np.mean(psnrs_out))
-    write_metrics(out_dir / "metrics.csv", values)
-    write_manifest(
-        out_dir / "manifest.json",
+    _write_run(
+        args.out_dir,
+        values,
         {
             "command": "denoise",
             "images": ";".join(paths),
@@ -322,6 +311,7 @@ def cmd_denoise(args):
             "r": args.r,
             "alpha": alpha,
         },
+        files,
     )
     print(f"mean psnr: {values['mean_psnr']:.2f} dB over {idx} images")
     return 0
@@ -337,11 +327,9 @@ def cmd_eval(args):
     values = {"relative_error": relative_error(estimate, reference)}
     if args.peak is not None:
         values["psnr"] = psnr(estimate, reference, peak=args.peak)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics(out_dir / "metrics.csv", values)
-    write_manifest(
-        out_dir / "manifest.json",
+    _write_run(
+        args.out_dir,
+        values,
         {
             "command": "eval",
             "estimate": args.estimate,
@@ -405,12 +393,6 @@ def build_parser():
     p.add_argument("--frames", required=True, help="glob of grayscale PGM frames")
     p.add_argument("--mask-frames", required=True, help="glob of binary PGM masks")
     _add_solver_flags(p, with_iteration_flags=False)
-    p.add_argument(
-        "--pooling",
-        choices=("per-frame", "pooled"),
-        default="pooled",
-        help="which AUC to report on stdout (both go to metrics.csv)",
-    )
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_bgsub)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .solver import Factorization, SolverConfig
+from .solver import Factorization
 
 KDT_MAGIC = b"KDT1"
 KDT_HEADER = struct.Struct("<4s3I")
@@ -44,17 +44,24 @@ class NonFiniteValueError(StorageError):
     """A tensor payload contains NaN or infinity."""
 
 
+def _jsonable(value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return value
+
+
 def _format_value(value):
     # repr of a Python float is the shortest decimal that parses back to
     # the same bits; numpy scalars must be unwrapped first since numpy 2
     # reprs them as e.g. "np.float64(0.5)".
-    if isinstance(value, (bool, np.bool_)):
+    value = _jsonable(value)
+    if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_tensor(path, t):
@@ -266,16 +273,6 @@ def read_metrics(path):
     return values
 
 
-def _jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
-
-
 def write_manifest(path, entries):
     """Write a manifest as JSON with sorted keys and a trailing newline."""
     entries = {k: _jsonable(v) for k, v in entries.items()}
@@ -341,10 +338,3 @@ def load_bundle(bundle_dir):
         iterations=int(manifest.get("iterations", len(trace))),
     )
     return fac, manifest
-
-
-def config_from_manifest(manifest):
-    """Rebuild the SolverConfig recorded in a bundle manifest."""
-    prefix = "config."
-    fields = {k[len(prefix):]: v for k, v in manifest.items() if k.startswith(prefix)}
-    return SolverConfig(**fields)

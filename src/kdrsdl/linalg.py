@@ -109,8 +109,3 @@ def thin_svd(x):
     u = u * signs
     v = v * signs
     return u, s, v
-
-
-def kron(a, b):
-    """Kronecker product of two matrices."""
-    return np.kron(a, b)

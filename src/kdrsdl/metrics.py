@@ -1,21 +1,7 @@
 """Evaluation metrics: relative error, ranking AUC, PSNR."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.stats
-
-
-@dataclass
-class MetricsReport:
-    """Named scalar results plus the configuration that produced them."""
-
-    values: dict[str, float] = field(default_factory=dict)
-    config: dict[str, object] = field(default_factory=dict)
-
-    def rows(self):
-        """(metric, value) pairs in name order, for CSV emission."""
-        return sorted(self.values.items())
 
 
 def relative_error(estimate, truth):

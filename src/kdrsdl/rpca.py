@@ -1,8 +1,7 @@
 """Matrix robust PCA by the inexact augmented Lagrangian method.
 
-The baseline the tensor solver is compared against. For stacks of
-slices, flatten with tensor.flatten_slices (one vectorized slice per
-column) so both methods see the same data.
+The baseline the tensor solver is compared against: rpca_slices splits
+each frontal slice of a stack on its own.
 """
 
 from dataclasses import dataclass
@@ -14,7 +13,7 @@ from .linalg import shrink, thin_svd
 
 @dataclass
 class RpcaResult:
-    """Low-rank plus sparse split of a matrix."""
+    """Low-rank plus sparse split of a matrix, or of a stack slice by slice."""
 
     low_rank: np.ndarray
     sparse: np.ndarray
@@ -26,6 +25,11 @@ def svt(x, tau):
     """Singular value thresholding: shrink the spectrum of x by tau."""
     u, s, v = thin_svd(x)
     return (u * shrink(s, tau)) @ v.T
+
+
+def default_lam(m, n):
+    """The default sparsity weight 1/sqrt(max(m, n)) for an m x n matrix."""
+    return 1.0 / np.sqrt(max(m, n))
 
 
 def rpca_ialm(x, lam=None, epsilon=1e-7, max_iter=1000):
@@ -44,7 +48,7 @@ def rpca_ialm(x, lam=None, epsilon=1e-7, max_iter=1000):
         raise ValueError("input contains non-finite entries")
     m, n = x.shape
     if lam is None:
-        lam = 1.0 / np.sqrt(max(m, n))
+        lam = default_lam(m, n)
     x_norm = np.linalg.norm(x)
     if x_norm == 0:
         return RpcaResult(np.zeros_like(x), np.zeros_like(x), 0, True)
@@ -66,3 +70,23 @@ def rpca_ialm(x, lam=None, epsilon=1e-7, max_iter=1000):
             converged = True
             break
     return RpcaResult(low, sparse, it, converged)
+
+
+def rpca_slices(x, lam=None, epsilon=1e-7, max_iter=1000):
+    """Run rpca_ialm on every frontal slice of an (m, n, N) stack.
+
+    The result holds the stacked low-rank and sparse parts, the most
+    passes any slice took, and whether every slice converged.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    low_rank = np.empty_like(x)
+    sparse = np.empty_like(x)
+    iterations = 0
+    converged = True
+    for i in range(x.shape[2]):
+        result = rpca_ialm(x[:, :, i], lam=lam, epsilon=epsilon, max_iter=max_iter)
+        low_rank[:, :, i] = result.low_rank
+        sparse[:, :, i] = result.sparse
+        iterations = max(iterations, result.iterations)
+        converged = converged and result.converged
+    return RpcaResult(low_rank, sparse, iterations, converged)

@@ -230,23 +230,6 @@ def _split(wa, a, b, core, dual_split, mu, mu_k):
     return solve_stein(-(mu / mu_k) * (a.T @ a), b.T @ b, rhs)
 
 
-# One block at a time, from x_fit = X - E: each builds its own W, while
-# iterate builds W once and calls the blocks above directly.
-def _update_basis_a(x_fit, dual_rec, b, split, mu):
-    w = _weighted(x_fit.copy(order="K"), dual_rec, mu)
-    return _basis_a(w, b, split, mu)
-
-
-def _update_basis_b(x_fit, dual_rec, a, split, mu):
-    w = _weighted(x_fit.copy(order="K"), dual_rec, mu)
-    return _basis_b(_project(w, a), split, a, mu)
-
-
-def _update_split(x_fit, dual_rec, core, dual_split, a, b, mu, mu_k):
-    w = _weighted(x_fit.copy(order="K"), dual_rec, mu)
-    return _split(_project(w, a), a, b, core, dual_split, mu, mu_k)
-
-
 def _update_core(split, dual_split, mu_k, alpha):
     return shrink(split - dual_split / mu_k, alpha / mu_k)
 

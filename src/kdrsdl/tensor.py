@@ -35,25 +35,6 @@ def as_tensor(data):
     return t
 
 
-def frontal_slice(t, i):
-    """Return frontal slice i of t as an m x n view (writes propagate)."""
-    n_slices = t.shape[2]
-    if not 0 <= i < n_slices:
-        raise IndexError(f"slice index {i} out of range for {n_slices} slices")
-    return t[:, :, i]
-
-
-def _mode1(t, u):
-    # slices u @ T_i: (T_i.T @ u.T) for all i is one (N*n x m) @ (m x p) GEMM
-    m, n, num = t.shape
-    return (t.T.reshape(num * n, m) @ u.T).reshape(num, n, u.shape[0]).T
-
-
-def _mode2(t, u):
-    # slices T_i @ u.T: (u @ T_i.T) for all i as one batched matmul
-    return np.matmul(u, t.T).T
-
-
 def mode_product(t, u, mode):
     """Multiply a tensor by a matrix along mode 1 or mode 2.
 
@@ -67,47 +48,29 @@ def mode_product(t, u, mode):
     u : ndarray, 2-d; u.shape[1] must equal m (mode 1) or n (mode 2)
     mode : 1 or 2
     """
+    if mode not in (1, 2):
+        raise ValueError(f"mode must be 1 or 2, got {mode!r}")
+    if u.shape[1] != t.shape[mode - 1]:
+        raise ValueError(
+            f"mode-{mode} product needs u.shape[1] == {t.shape[mode - 1]}, got {u.shape}"
+        )
     if mode == 1:
-        if u.shape[1] != t.shape[0]:
-            raise ValueError(
-                f"mode-1 product needs u.shape[1] == {t.shape[0]}, got {u.shape}"
-            )
-        return _mode1(t, u)
-    if mode == 2:
-        if u.shape[1] != t.shape[1]:
-            raise ValueError(
-                f"mode-2 product needs u.shape[1] == {t.shape[1]}, got {u.shape}"
-            )
-        return _mode2(t, u)
-    raise ValueError(f"mode must be 1 or 2, got {mode!r}")
+        # slices u @ T_i: (T_i.T @ u.T) for all i is one (N*n x m) @ (m x p) GEMM
+        m, n, num = t.shape
+        return (t.T.reshape(num * n, m) @ u.T).reshape(num, n, u.shape[0]).T
+    # slices T_i @ u.T: (u @ T_i.T) for all i as one batched matmul
+    return np.matmul(u, t.T).T
 
 
 def reconstruct(core, a, b):
     """Assemble the low-rank tensor with slices a @ R_i @ b.T.
 
     core has shape (r, r, N), a is m x r, b is n x r; the result is
-    (m, n, N). The small products a @ R_i come first, as one GEMM, then
-    one batched matmul with b, so the result equals the mode-1 then
-    mode-2 product bit for bit.
+    (m, n, N). It is the mode-1 product with a, then the mode-2 product
+    with b: the small products a @ R_i as one GEMM, then one batched
+    matmul with b.
     """
-    if a.shape[1] != core.shape[0] or b.shape[1] != core.shape[1]:
-        raise ValueError(
-            f"bases {a.shape} x {b.shape} incompatible with core {core.shape}"
-        )
-    return _mode2(_mode1(core, a), b)
-
-
-def flatten_slices(t):
-    """Matricize with each frontal slice vectorized (column-major) as a column."""
-    m, n, num = t.shape
-    return np.asfortranarray(t).reshape(m * n, num, order="F")
-
-
-def unflatten_slices(mat, m, n):
-    """Inverse of flatten_slices for slices of size m x n."""
-    if mat.shape[0] != m * n:
-        raise ValueError(f"matrix has {mat.shape[0]} rows, expected {m * n}")
-    return mat.reshape(m, n, mat.shape[1], order="F")
+    return mode_product(mode_product(core, a, 1), b, 2)
 
 
 def slice_norms(t):

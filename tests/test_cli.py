@@ -172,7 +172,9 @@ def test_rpca_command(tmp_path):
     metrics = read_metrics(out / "metrics.csv")
     assert metrics["converged"] == 1.0
     assert 0.0 < metrics["outlier_density"] < 0.5
-    assert read_manifest(out / "manifest.json")["command"] == "rpca"
+    manifest = read_manifest(out / "manifest.json")
+    assert manifest["command"] == "rpca"
+    assert manifest["lam"] == 1.0 / np.sqrt(20)
 
 
 def test_eval_golden_output(tmp_path):
@@ -220,7 +222,9 @@ def test_bgsub_moving_square(tmp_path, capsys):
     assert metrics["frames"] == 8.0
     assert metrics["scored_frames"] == 8.0
     assert len(list(out.glob("foreground_*.pgm"))) == 8
-    assert "auc (pooled):" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "auc (pooled):" in stdout
+    assert "auc (per-frame):" in stdout
 
 
 def test_bgsub_mask_count_mismatch(tmp_path, capsys):

@@ -21,7 +21,6 @@ from kdrsdl.io import (
     NonFiniteValueError,
     StorageError,
     TruncatedFileError,
-    config_from_manifest,
     read_manifest,
     read_metrics,
     read_trace,
@@ -278,7 +277,9 @@ def test_bundle_config_roundtrip(tmp_path, small_result):
     save_bundle(out, fac, cfg, extra={"command": "synth"})
     manifest = read_manifest(out / "manifest.json")
     assert manifest["command"] == "synth"
-    assert config_from_manifest(manifest) == cfg
+    prefix = "config."
+    fields = {k[len(prefix):]: v for k, v in manifest.items() if k.startswith(prefix)}
+    assert SolverConfig(**fields) == cfg
 
 
 def test_manifest_keys_sorted(tmp_path, small_result):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kdrsdl import kron, shrink, solve_gram_system, solve_stein, symmetric_eig, thin_svd
+from kdrsdl import shrink, solve_gram_system, solve_stein, symmetric_eig, thin_svd
 
 
 def random_stein_problem(rng, r):
@@ -216,22 +216,6 @@ def test_symmetric_eig_rejects_asymmetric():
     bad = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         symmetric_eig(bad)
-
-
-def test_kron_identities():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-    b = np.random.default_rng(11).standard_normal((3, 2))
-    np.testing.assert_allclose(kron(np.array([[2.0]]), b), 2 * b, atol=1e-15)
-
-
-def test_kron_frobenius_identity():
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 3))
-        lhs = np.linalg.norm(kron(a, b))
-        rhs = np.linalg.norm(a) * np.linalg.norm(b)
-        assert abs(lhs - rhs) <= 1e-12 * rhs
 
 
 def test_nuclear_frobenius_bound():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kdrsdl import MetricsReport, psnr, relative_error, roc_auc
+from kdrsdl import psnr, relative_error, roc_auc
 
 
 def pairwise_auc(scores, labels):
@@ -138,8 +138,3 @@ def test_psnr_decreases_with_noise():
 def test_psnr_rejects_bad_peak():
     with pytest.raises(ValueError):
         psnr(np.ones((2, 2)), np.zeros((2, 2)), 0.0)
-
-
-def test_metrics_report_rows_sorted():
-    report = MetricsReport(values={"b": 2.0, "a": 1.0, "c": 3.0})
-    assert report.rows() == [("a", 1.0), ("b", 2.0), ("c", 3.0)]

@@ -1,9 +1,9 @@
-"""Matrix robust PCA baseline and singular value thresholding."""
+"""Matrix robust PCA baseline, its slice-wise form, and singular value thresholding."""
 
 import numpy as np
 import pytest
 
-from kdrsdl import RpcaResult, rpca_ialm, svt
+from kdrsdl import RpcaResult, rpca_ialm, rpca_slices, svt
 
 
 def test_svt_zero_threshold_identity():
@@ -102,3 +102,20 @@ def test_rpca_corrupted_low_rank_recovery():
     assert res.converged
     err = np.linalg.norm(res.low_rank - low) / np.linalg.norm(low)
     assert err <= 1e-4
+
+
+def test_rpca_slices_matches_each_slice():
+    rng = np.random.default_rng(0)
+    low = np.outer(rng.standard_normal(12), rng.standard_normal(10))
+    spikes = (rng.random((12, 10)) < 0.05) * 5.0
+    # spiked slice first: it hits the cap, the clean one converges below it
+    x = np.stack([low + spikes, np.zeros((12, 10)), low], axis=2)
+    res = rpca_slices(x, max_iter=32)
+    per_slice = [rpca_ialm(x[:, :, i], max_iter=32) for i in range(3)]
+    assert [r.iterations for r in per_slice] == [32, 0, 31]
+    assert [r.converged for r in per_slice] == [False, True, True]
+    for i, r in enumerate(per_slice):
+        np.testing.assert_array_equal(res.low_rank[:, :, i], r.low_rank)
+        np.testing.assert_array_equal(res.sparse[:, :, i], r.sparse)
+    assert res.iterations == 32
+    assert not res.converged

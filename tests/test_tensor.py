@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from kdrsdl import (
-    as_tensor,
-    flatten_slices,
-    frontal_slice,
-    mode_product,
-    reconstruct,
-    unflatten_slices,
-)
+from kdrsdl import as_tensor, mode_product, reconstruct
 
 
 def test_as_tensor_accepts_3d():
@@ -39,41 +32,6 @@ def test_as_tensor_rejects_non_finite():
     bad[0, 1, 1] = np.inf
     with pytest.raises(ValueError):
         as_tensor(bad)
-
-
-def test_frontal_slice_identity_stack():
-    t = np.stack([np.eye(2), 2 * np.eye(2)], axis=2)
-    np.testing.assert_array_equal(frontal_slice(t, 1), 2 * np.eye(2))
-
-
-def test_frontal_slice_zeros():
-    t = np.zeros((3, 4, 2))
-    for i in range(2):
-        np.testing.assert_array_equal(frontal_slice(t, i), np.zeros((3, 4)))
-
-
-def test_frontal_slice_layout_ramp():
-    # the declared element order runs row fastest, then column, then slice,
-    # so the first four ramp values land in slice 0
-    t = np.arange(8, dtype=np.float64).reshape((2, 2, 2), order="F")
-    assert set(frontal_slice(t, 0).ravel()) == {0.0, 1.0, 2.0, 3.0}
-    assert set(frontal_slice(t, 1).ravel()) == {4.0, 5.0, 6.0, 7.0}
-
-
-def test_frontal_slice_out_of_range():
-    t = np.zeros((2, 2, 2))
-    with pytest.raises(IndexError):
-        frontal_slice(t, 2)
-    with pytest.raises(IndexError):
-        frontal_slice(t, -3)
-
-
-def test_frontal_slice_view_writes_through():
-    t = np.zeros((2, 3, 2))
-    view = frontal_slice(t, 1)
-    view[0, 2] = 7.0
-    assert t[0, 2, 1] == 7.0
-    np.testing.assert_array_equal(frontal_slice(t, 1), view)
 
 
 def test_mode_product_identity():
@@ -185,17 +143,3 @@ def test_orthogonal_bases_preserve_core_norm():
         out = reconstruct(core, qa, qb)
         scale = np.linalg.norm(core)
         assert abs(np.linalg.norm(out) - scale) <= 1e-12 * scale
-
-
-def test_flatten_unflatten_roundtrip():
-    rng = np.random.default_rng(7)
-    t = rng.standard_normal((4, 3, 5))
-    mat = flatten_slices(t)
-    assert mat.shape == (12, 5)
-    np.testing.assert_array_equal(unflatten_slices(mat, 4, 3), t)
-
-
-def test_flatten_column_is_slice_in_declared_order():
-    t = np.arange(12, dtype=np.float64).reshape((2, 3, 2), order="F")
-    mat = flatten_slices(t)
-    np.testing.assert_array_equal(mat[:, 0], np.arange(6, dtype=np.float64))
