@@ -4,13 +4,41 @@ The Stein solver exploits that both coefficient matrices arising in the
 decomposition algorithm are symmetric Gram matrices, so a two-sided
 eigendecomposition reduces the equation to an elementwise divide. The
 general non-symmetric case is rejected rather than silently mishandled.
+
+The module also owns the BLAS thread pin the solver runs under: its
+products are r-skinny and its Gram and Stein systems r x r, which
+OpenBLAS runs slower, and with different bits, when it splits them
+across threads.
 """
+
+import ctypes
+import functools
+import glob
+import os
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import scipy.linalg
 
 SYMMETRY_RTOL = 1e-12
 STEIN_MARGIN = 1e-12
+
+# (get, set) thread-count symbols of the OpenBLAS builds bundled with the
+# wheels: scipy-openblas with 64- and 32-bit integers (numpy >= 2, scipy >=
+# 1.13), then the older 64-bit (numpy 1.x) and 32-bit (scipy) builds
+_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+# only libraries already loaded are touched; Windows has no such flag, and
+# loading a DLL that is already loaded returns it
+_NOLOAD = getattr(os, "RTLD_NOLOAD", 0)
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = []
 
 
 def shrink(x, tau):
@@ -109,3 +137,53 @@ def thin_svd(x):
     u = u * signs
     v = v * signs
     return u, s, v
+
+
+@functools.cache
+def _openblas_controls():
+    # (get, set) pairs of every OpenBLAS bundled with numpy or scipy that
+    # this process has loaded
+    controls = []
+    for package in (np, scipy):
+        root = os.path.dirname(package.__file__)
+        paths = glob.glob(os.path.join(root + ".libs", "*openblas*"))
+        paths += glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
+        for path in sorted(paths):
+            try:
+                lib = ctypes.CDLL(path, mode=_NOLOAD)
+            except OSError:
+                continue
+            for get_name, set_name in _THREAD_SYMBOLS:
+                if hasattr(lib, get_name) and hasattr(lib, set_name):
+                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every bundled OpenBLAS at one thread.
+
+    The libraries are looked up on first use. The outermost of nested or
+    concurrent blocks saves the callers' thread counts and the last one
+    out restores them, on error too. Without OpenBLAS (MKL, Accelerate)
+    this does nothing.
+    """
+    global _pin_depth, _pin_saved
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = [(set_, get()) for get, set_ in _openblas_controls()]
+            for set_, _ in _pin_saved:
+                set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for set_, count in _pin_saved:
+                    set_(count)

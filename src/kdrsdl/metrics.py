@@ -1,7 +1,6 @@
 """Evaluation metrics: relative error, ranking AUC, PSNR."""
 
 import numpy as np
-import scipy.stats
 
 
 def relative_error(estimate, truth):
@@ -32,8 +31,17 @@ def roc_auc(scores, labels):
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need at least one positive and one negative label")
-    ranks = scipy.stats.rankdata(scores)
-    rank_sum = ranks[labels == 1].sum()
+    # average ranks from one sort: a score's tie group spans the sorted
+    # positions [left, right), ranks left+1..right, so twice its average rank
+    # is the integer left + right + 1, and only positives enter the rank sum
+    ranked = np.sort(scores)
+    if np.isnan(ranked[-1]):
+        return float("nan")  # NaN sorts last, and a NaN rank propagates
+    positive = scores[labels == 1]
+    twice = np.searchsorted(ranked, positive, side="left")
+    twice += np.searchsorted(ranked, positive, side="right")
+    # an exact integer below 2**53, so the halving is exact
+    rank_sum = (int(twice.sum()) + n_pos) / 2.0
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import shrink, solve_gram_system, solve_stein, thin_svd
+from .linalg import _one_blas_thread, shrink, solve_gram_system, solve_stein, thin_svd
 from .tensor import as_tensor, reconstruct, slice_norms
 
 TINY_DENOM = 1e-300
@@ -337,39 +337,46 @@ def solve(x, config=None):
     Non-convergence is reported through Factorization.converged, not an
     error; numerical failures raise SolverError with the partial trace
     attached.
+
+    The whole solve runs with the bundled OpenBLAS libraries at one
+    thread, and the caller's thread counts are restored on return or
+    error. Its products are r-skinny and its systems r x r, which run
+    faster unsplit, and the output bits do not depend on the caller's
+    thread count.
     """
-    x = as_tensor(x)
-    cfg = (config if config is not None else SolverConfig()).resolved(
-        x.shape[0], x.shape[1]
-    )
-    state = initialize(x, cfg)
-    x_sq = slice_norms(x) ** 2
-    trace = np.zeros((cfg.max_iter, 4))
-    converged = False
-    warned = False
-    done = 0
-    for t in range(cfg.max_iter):
-        mu, mu_k = state.mu, state.mu_k
-        try:
-            state = iterate(state, x, cfg)
-        except SolverError as exc:
-            exc.trace = trace[:done].copy()
-            raise
-        err_rec, err_split, degenerate = _residuals(state, x, x_sq)
-        if degenerate and not warned:
-            warnings.warn(ZERO_NORM_WARNING, RuntimeWarning, stacklevel=2)
-            warned = True
-        trace[t] = (err_rec, err_split, mu, mu_k)
-        done = t + 1
-        if max(err_rec, err_split) <= cfg.epsilon:
-            converged = True
-            break
-    return Factorization(
-        a=state.a,
-        b=state.b,
-        core=state.core,
-        outliers=state.outliers,
-        trace=trace[:done].copy(),
-        converged=converged,
-        iterations=done,
-    )
+    with _one_blas_thread():
+        x = as_tensor(x)
+        cfg = (config if config is not None else SolverConfig()).resolved(
+            x.shape[0], x.shape[1]
+        )
+        state = initialize(x, cfg)
+        x_sq = slice_norms(x) ** 2
+        trace = np.zeros((cfg.max_iter, 4))
+        converged = False
+        warned = False
+        done = 0
+        for t in range(cfg.max_iter):
+            mu, mu_k = state.mu, state.mu_k
+            try:
+                state = iterate(state, x, cfg)
+            except SolverError as exc:
+                exc.trace = trace[:done].copy()
+                raise
+            err_rec, err_split, degenerate = _residuals(state, x, x_sq)
+            if degenerate and not warned:
+                warnings.warn(ZERO_NORM_WARNING, RuntimeWarning, stacklevel=2)
+                warned = True
+            trace[t] = (err_rec, err_split, mu, mu_k)
+            done = t + 1
+            if max(err_rec, err_split) <= cfg.epsilon:
+                converged = True
+                break
+        return Factorization(
+            a=state.a,
+            b=state.b,
+            core=state.core,
+            outliers=state.outliers,
+            trace=trace[:done].copy(),
+            converged=converged,
+            iterations=done,
+        )

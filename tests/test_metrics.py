@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from kdrsdl import psnr, relative_error, roc_auc
 
@@ -75,6 +78,35 @@ def test_roc_auc_matches_pair_counting():
             continue
         got = roc_auc(scores, labels)
         assert abs(got - pairwise_auc(scores, labels)) <= 1e-12
+
+
+def rankdata_auc(scores, labels):
+    """The rank-sum formula over scipy's average ranks, as the bitwise oracle."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int(np.count_nonzero(labels == 1))
+    n_neg = labels.size - n_pos
+    rank_sum = scipy.stats.rankdata(scores)[labels == 1].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+# few distinct values, -0.0 and 0.0 among them, so most scores are tied
+tied = st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.25, 0.25 + 2**-50, 3.0, np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(tied, st.sampled_from([0, 1])), min_size=2, max_size=80))
+@example(pairs=[(0.0, 1), (-0.0, 0)])
+@example(pairs=[(3.0, 0), (3.0, 1), (3.0, 1), (-1.5, 0)])
+def test_roc_auc_matches_rankdata_bit_for_bit(pairs):
+    scores = [s for s, _ in pairs]
+    labels = [y for _, y in pairs]
+    assume(len(set(labels)) == 2)
+    assert roc_auc(scores, labels) == rankdata_auc(scores, labels)
+
+
+def test_roc_auc_nan_score_propagates():
+    assert np.isnan(roc_auc([0.1, np.nan, 0.9], [1, 0, 0]))
 
 
 def test_roc_auc_invariant_under_monotone_transform():

@@ -1,6 +1,8 @@
 """Solver configuration, initialization, iteration, and convergence."""
 
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +19,8 @@ from kdrsdl import (
     relative_error,
     solve,
 )
-from kdrsdl.linalg import shrink
+from kdrsdl import linalg, solver  # modules, for monkeypatching
+from kdrsdl.linalg import _one_blas_thread, _openblas_controls, shrink
 from kdrsdl.solver import (
     _basis_a,
     _basis_b,
@@ -316,3 +319,108 @@ def test_pass_counts_pinned(seed, passes):
     fac = solve(x, SolverConfig(r=10))
     assert fac.converged
     assert fac.iterations == passes
+
+
+# The solve pins every bundled OpenBLAS to one thread and restores the
+# caller's counts; these tests set the caller's counts through the same
+# library handles the pin uses.
+BLAS = _openblas_controls()
+needs_openblas = pytest.mark.skipif(not BLAS, reason="no bundled OpenBLAS found")
+
+
+def blas_threads():
+    return [get() for get, _ in BLAS]
+
+
+@pytest.fixture
+def caller_threads():
+    """Set the caller's thread count of every library; put it back after."""
+    saved = blas_threads()
+
+    def set_all(count):
+        for _, set_ in BLAS:
+            set_(count)
+
+    yield set_all
+    for (_, set_), count in zip(BLAS, saved):
+        set_(count)
+
+
+def bits(fac):
+    return [x.tobytes() for x in (fac.a, fac.b, fac.core, fac.outliers, fac.trace)]
+
+
+@needs_openblas
+def test_solve_bits_do_not_depend_on_caller_blas_threads(caller_threads):
+    # at this size OpenBLAS splits the solve's products differently on one
+    # and two threads, so an unpinned solve changes its bits with the count
+    spec = SyntheticSpec(m=100, n=100, num_slices=10, rank_a=5, rank_b=5, r=20, p=0.7, seed=0)
+    x, _ = generate(spec)
+    runs = []
+    for count in (1, 2):
+        caller_threads(count)
+        runs.append(bits(solve(x, SolverConfig(r=20, max_iter=3))))
+        assert blas_threads() == [count] * len(BLAS)
+    assert runs[0] == runs[1]
+
+
+@needs_openblas
+def test_solve_restores_caller_blas_threads(caller_threads, monkeypatch):
+    caller_threads(2)
+    seen = []
+
+    def failing_stein(*args):
+        seen.append(blas_threads())
+        raise np.linalg.LinAlgError("singular Stein equation")
+
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    solve(x, SolverConfig(r=3, max_iter=2))
+    assert blas_threads() == [2] * len(BLAS)
+    monkeypatch.setattr(solver, "solve_stein", failing_stein)
+    with pytest.raises(solver.SolverError):
+        solve(x, SolverConfig(r=3))
+    assert seen == [[1] * len(BLAS)]
+    assert blas_threads() == [2] * len(BLAS)
+    monkeypatch.undo()
+    with _one_blas_thread():
+        solve(x, SolverConfig(r=3, max_iter=2))
+        assert blas_threads() == [1] * len(BLAS)
+    assert blas_threads() == [2] * len(BLAS)
+
+
+@needs_openblas
+def test_concurrent_solves_share_one_pin(caller_threads, monkeypatch):
+    # a lost update of the pin's depth would restore the counts while a
+    # solve still runs, or never restore them
+    caller_threads(2)
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    expected = bits(solve(x, SolverConfig(r=3, max_iter=5)))
+    seen = []
+    stein = solver.solve_stein
+
+    def recording_stein(*args):
+        seen.append(blas_threads())
+        return stein(*args)
+
+    monkeypatch.setattr(solver, "solve_stein", recording_stein)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(solve, x, SolverConfig(r=3, max_iter=5)) for _ in range(24)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(bits(fac) == expected for fac in results)
+    assert len(seen) == 24 * 5
+    assert all(counts == [1] * len(BLAS) for counts in seen)
+    assert blas_threads() == [2] * len(BLAS)
+
+
+@needs_openblas
+def test_blas_pin_without_openblas_does_nothing(caller_threads, monkeypatch):
+    caller_threads(2)
+    monkeypatch.setattr(linalg, "_openblas_controls", lambda: [])
+    with _one_blas_thread():
+        assert blas_threads() == [2] * len(BLAS)
+    assert blas_threads() == [2] * len(BLAS)
