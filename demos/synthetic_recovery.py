@@ -38,8 +38,9 @@ print(f"relative error, outlier part:  {err_out:.2e}")
 print(f"recovered density {density(fac.outliers):.3f}")
 
 # everything needed to replay or inspect the run fits in one directory
-out_dir = Path(tempfile.mkdtemp(prefix="recovery_"))
-save_bundle(out_dir, fac, config.resolved(50, 50))
-reloaded, manifest = load_bundle(out_dir)
-assert reloaded.low_rank().tobytes() == fac.low_rank().tobytes()
-print(f"bundle saved to {out_dir} and reloaded bit-identically")
+with tempfile.TemporaryDirectory(prefix="recovery_") as tmp:
+    out_dir = Path(tmp)
+    save_bundle(out_dir, fac, config.resolved(50, 50))
+    reloaded, manifest = load_bundle(out_dir)
+    assert reloaded.low_rank().tobytes() == fac.low_rank().tobytes()
+    print(f"bundle saved to {out_dir} and reloaded bit-identically")

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .io import (
-    StorageError,
     read_image,
     read_image_stack,
     read_tensor,
@@ -422,8 +421,6 @@ def main(argv=None):
     except FileNotFoundError as exc:
         name = exc.filename if exc.filename else exc
         return _fail(f"{name}: file not found")
-    except StorageError as exc:
-        return _fail(exc)
     except ValueError as exc:
         return _fail(exc)
     except SolverError as exc:

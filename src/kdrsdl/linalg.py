@@ -1,14 +1,16 @@
 """Linear-algebra kernels: shrinkage, Stein equation, SPD right-division.
 
-The Stein solver exploits that both coefficient matrices arising in the
-decomposition algorithm are symmetric Gram matrices, so a two-sided
-eigendecomposition reduces the equation to an elementwise divide. The
-general non-symmetric case is rejected rather than silently mishandled.
+Every r x r system of the decomposition algorithm has symmetric
+coefficient matrices, so both solvers diagonalize them with one
+symmetric eigendecomposition: the Stein equation reduces to an
+elementwise divide in the rotated frame, and the Gram systems to a
+divide by the eigenvalues. The general non-symmetric case is rejected
+rather than silently mishandled.
 
 The module also owns the BLAS thread pin the solver runs under: its
 products are r-skinny and its Gram and Stein systems r x r, which
 OpenBLAS runs slower, and with different bits, when it splits them
-across threads.
+across threads. The pin manages the OpenBLAS library bundled with numpy.
 """
 
 import ctypes
@@ -19,19 +21,16 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-import scipy.linalg
 
 SYMMETRY_RTOL = 1e-12
 STEIN_MARGIN = 1e-12
 
-# (get, set) thread-count symbols of the OpenBLAS builds bundled with the
-# wheels: scipy-openblas with 64- and 32-bit integers (numpy >= 2, scipy >=
-# 1.13), then the older 64-bit (numpy 1.x) and 32-bit (scipy) builds
+# (get, set) thread-count symbols of the 64-bit-integer OpenBLAS bundled
+# with the numpy wheels: scipy-openblas (numpy >= 2), then openblas
+# (numpy 1.x)
 _THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 # only libraries already loaded are touched; Windows has no such flag, and
 # loading a DLL that is already loaded returns it
@@ -111,11 +110,17 @@ def solve_stein(a, b, c):
 def solve_gram_system(target, gram):
     """Right-divide by an SPD matrix: return M with M @ gram = target.
 
-    gram must be symmetric positive definite (a Cholesky factorization is
-    used and its failure propagates as an error).
+    gram = Q diag(d) Q.T is diagonalized with symmetric_eig, so
+    M = (target @ Q / d) @ Q.T. Raises numpy.linalg.LinAlgError unless
+    every eigenvalue is positive, which a non-finite gram also fails, and
+    ValueError if gram is not symmetric.
     """
-    cho = scipy.linalg.cho_factor(gram, lower=True)
-    return scipy.linalg.cho_solve(cho, target.T).T
+    q, d = symmetric_eig(gram)
+    if not np.all(d > 0):
+        raise np.linalg.LinAlgError(
+            f"Gram matrix is not positive definite (smallest eigenvalue {d[0]:.3e})"
+        )
+    return (target @ q / d) @ q.T
 
 
 def thin_svd(x):
@@ -141,36 +146,35 @@ def thin_svd(x):
 
 @functools.cache
 def _openblas_controls():
-    # (get, set) pairs of every OpenBLAS bundled with numpy or scipy that
-    # this process has loaded
+    # (get, set) pairs of the OpenBLAS bundled with numpy, if this process
+    # has loaded it
     controls = []
-    for package in (np, scipy):
-        root = os.path.dirname(package.__file__)
-        paths = glob.glob(os.path.join(root + ".libs", "*openblas*"))
-        paths += glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
-        for path in sorted(paths):
-            try:
-                lib = ctypes.CDLL(path, mode=_NOLOAD)
-            except OSError:
-                continue
-            for get_name, set_name in _THREAD_SYMBOLS:
-                if hasattr(lib, get_name) and hasattr(lib, set_name):
-                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    controls.append((get, set_))
-                    break
+    root = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(root + ".libs", "*openblas*"))
+    paths += glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
     return tuple(controls)
 
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with every bundled OpenBLAS at one thread.
+    """Run the block with numpy's bundled OpenBLAS at one thread.
 
-    The libraries are looked up on first use. The outermost of nested or
-    concurrent blocks saves the callers' thread counts and the last one
-    out restores them, on error too. Without OpenBLAS (MKL, Accelerate)
-    this does nothing.
+    The library is looked up on first use. The outermost of nested or
+    concurrent blocks saves the caller's thread count and the last one
+    out restores it, on error too. Without a bundled OpenBLAS (MKL,
+    Accelerate, a system BLAS) this does nothing.
     """
     global _pin_depth, _pin_saved
     with _pin_lock:

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import _one_blas_thread, shrink, solve_gram_system, solve_stein, thin_svd
+from .rpca import default_lam
 from .tensor import as_tensor, reconstruct, slice_norms
 
 TINY_DENOM = 1e-300
@@ -69,7 +70,7 @@ class SolverConfig:
     def resolved(self, m, n):
         """Fill the data-dependent defaults for m x n slices and validate."""
         r = min(m, n) if self.r is None else self.r
-        lam = 1.0 / np.sqrt(max(m, n)) if self.lam is None else self.lam
+        lam = default_lam(m, n) if self.lam is None else self.lam
         cfg = replace(self, r=r, lam=lam)
         if not 1 <= r <= min(m, n):
             raise ValueError(f"need 1 <= r <= min(m, n) = {min(m, n)}, got r={r}")
@@ -338,8 +339,8 @@ def solve(x, config=None):
     error; numerical failures raise SolverError with the partial trace
     attached.
 
-    The whole solve runs with the bundled OpenBLAS libraries at one
-    thread, and the caller's thread counts are restored on return or
+    The whole solve runs with numpy's bundled OpenBLAS library at one
+    thread, and the caller's thread count is restored on return or
     error. Its products are r-skinny and its systems r x r, which run
     faster unsplit, and the output bits do not depend on the caller's
     thread count.

@@ -1,9 +1,15 @@
 """End-to-end runs of the kdrsdl command line."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from kdrsdl import read_tensor, write_image, write_tensor
+import kdrsdl
+from kdrsdl import SyntheticSpec, generate, read_tensor, write_image, write_tensor
 from kdrsdl.cli import main
 from kdrsdl.io import BUNDLE_FILES, read_manifest, read_metrics
 
@@ -124,8 +130,6 @@ def test_decompose_zero_tensor(tmp_path):
 
 
 def test_decompose_clean_tensor_leaves_outliers_empty(tmp_path):
-    from kdrsdl import SyntheticSpec, generate
-
     spec = SyntheticSpec(m=50, n=50, num_slices=20, rank_a=5, rank_b=5, r=10, p=1.0, seed=0)
     x, _ = generate(spec)
     src = tmp_path / "x.kdt"
@@ -152,6 +156,47 @@ def test_decompose_bad_magic(tmp_path, capsys):
     rc = run("decompose", "--input", src, "--out-dir", tmp_path / "o")
     assert rc == 2
     assert "magic" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decompose_numerical_failure_exits_1(tmp_path, capsys):
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    src = tmp_path / "x.kdt"
+    write_tensor(src, x * 1e200)
+    rc = run("decompose", "--input", src, "--r", 3, "--out-dir", tmp_path / "o")
+    assert rc == 1
+    assert "solver failed: iteration 1:" in capsys.readouterr().err
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from kdrsdl import SyntheticSpec, generate, write_tensor
+from kdrsdl.cli import main
+
+out = sys.argv[1]
+rc = main(["synth", "--m", "14", "--n", "12", "--num-slices", "3", "--rank-a", "2",
+           "--rank-b", "2", "--r", "3", "--out-dir", out + "/synth"])
+assert rc == 0, rc
+x, _ = generate(SyntheticSpec(m=14, n=12, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=1))
+write_tensor(out + "/x.kdt", x)
+rc = main(["decompose", "--input", out + "/x.kdt", "--r", "3", "--out-dir", out + "/run"])
+assert rc == 0, rc
+loaded = [name for name, module in sys.modules.items()
+          if name.split(".")[0] == "scipy" and module is not None]
+assert not loaded, loaded
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    src = str(Path(kdrsdl.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_rpca_command(tmp_path):

@@ -146,6 +146,15 @@ def test_solve_gram_system_rejects_indefinite():
         solve_gram_system(np.eye(2), np.diag([1.0, -1.0]))
 
 
+def test_solve_gram_system_rejects_nan():
+    # a numerical failure, not a usage error: LinAlgError, which the solver
+    # turns into SolverError
+    gram = np.eye(3)
+    gram[1, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_gram_system(np.eye(3), gram)
+
+
 def test_thin_svd_diagonal():
     _, s, _ = thin_svd(np.diag([3.0, 1.0]))
     np.testing.assert_allclose(s, [3.0, 1.0], atol=1e-14)

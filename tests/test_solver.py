@@ -288,6 +288,17 @@ def test_solver_error_carries_iteration_and_trace():
     assert err.trace.shape == (2, 4)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_input_raises_solver_error_at_first_pass():
+    # the slice norms of x overflow, so the step sizes are 0 and the first
+    # Gram systems are not finite
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    with pytest.raises(solver.SolverError) as info:
+        solve(x * 1e200, SolverConfig(r=3))
+    assert info.value.iteration == 1
+    assert info.value.trace.shape == (0, 4)
+
+
 def test_zero_slice_warning_fires_once_per_solve():
     spec = SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0)
     x, _ = generate(spec)
