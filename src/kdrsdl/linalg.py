@@ -43,18 +43,15 @@ _pin_saved = []
 def shrink(x, tau):
     """Elementwise soft threshold: sign(x) * max(|x| - tau, 0).
 
-    Entries with |x| <= tau map to exactly 0. tau must be nonnegative.
+    Computed as x - clip(x, -tau, tau), in two sweeps. Every entry with
+    |x| <= tau, -0.0 included, maps to +0.0, since x - x is +0.0. tau
+    must be nonnegative.
     """
     if tau < 0:
         raise ValueError(f"shrinkage threshold must be nonnegative, got {tau}")
     x = np.asarray(x, dtype=np.float64)
-    out = np.abs(x, out=np.empty_like(x))
-    out -= tau
-    np.maximum(out, 0.0, out=out)
-    np.copysign(out, x, out=out)
-    # sign(-0.0) is 0, so -0.0 maps to +0.0, which copysign alone would not give
-    np.copyto(out, 0.0, where=x == 0)
-    return out
+    out = np.clip(x, -tau, tau, out=np.empty_like(x))
+    return np.subtract(x, out, out=out)
 
 
 def symmetric_eig(x):

@@ -15,16 +15,22 @@ block.
 
 All tensors stay in the canonical layout of the tensor module, so each
 contraction of a pass is one GEMM on a free reshape or one batched
-matmul of small slices. A pass costs three low-rank rebuilds (outliers,
-dual step, residual check) and two products with the weighted data
+matmul of small slices. A pass costs two low-rank rebuilds (dual step and
+residual check) and two products with the weighted data
 W = mu (X - E) + Lambda: one for the A target and the projection
-W_i.T @ A that both the B target and the split update reuse. W is formed
-once per pass, and elementwise updates reuse the buffers they read, so a
-pass holds at most five data-sized tensors at once.
+W_i.T @ A that both the B target and the split update reuse. The dual
+step's D = X - a K b.T is carried into the next pass, whose E and W both
+come from v = mu D + Lambda with no rebuild.
+
+iterate runs in place: it overwrites E and Lambda, and every data-sized
+intermediate lives in two scratch buffers kept on the state from pass to
+pass. A solve therefore holds at most five data-sized arrays, X included
+(X, E, Lambda and the two buffers), and no pass after the first
+allocates one.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,8 +94,26 @@ class SolverConfig:
 
 
 @dataclass
+class _Scratch:
+    # The two data-sized buffers a solve reuses on every pass. Between
+    # passes d holds D = X - a K b.T for the state's factors and the x it
+    # was computed from; free is overwritten by each pass and residual
+    # check. warned records that the zero-norm warning has fired.
+    x: np.ndarray
+    d: np.ndarray
+    free: np.ndarray
+    warned: bool = False
+
+
+@dataclass
 class SolverState:
-    """All iterates of one run: factors, duals, step sizes, pass count."""
+    """All iterates of one run: factors, duals, step sizes, pass count.
+
+    scratch holds the buffers iterate reuses from pass to pass. It is not
+    an argument of the constructor, and dataclasses.replace drops it, so a
+    rebuilt state allocates fresh buffers on its next pass and never sees
+    a stale D.
+    """
 
     a: np.ndarray            # m x r basis
     b: np.ndarray            # n x r basis
@@ -103,6 +127,7 @@ class SolverState:
     mu_cap: float
     mu_k_cap: float
     iteration: int = 0
+    scratch: _Scratch | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -172,19 +197,20 @@ def initialize(x, config):
     )
 
 
-def _update_outliers(x, a, b, split, dual_rec, mu, lam):
-    resid = reconstruct(split, a, b)
-    np.subtract(x, resid, out=resid)
-    resid += dual_rec / mu
-    return shrink(resid, lam / mu)
-
-
-def _weighted(x_fit, dual_rec, mu):
-    # W = mu (X - E) + Lambda, the data of both basis targets and the split
-    # update, computed in place in x_fit
-    x_fit *= mu
-    x_fit += dual_rec
-    return x_fit
+def _outliers_and_data(x, d, dual_rec, mu, lam, e, free):
+    # E = shrink(D + Lambda/mu, lam/mu) and W = mu (X - E) + Lambda, both
+    # from v = mu D + Lambda: with c = clip(v, -lam, lam), E = (v - c) / mu
+    # and W = mu (X - D) + c. E is written into e and W over d; free is
+    # scratch. Returns (e, W).
+    np.multiply(d, mu, out=free)
+    free += dual_rec
+    np.clip(free, -lam, lam, out=e)
+    free -= e
+    np.subtract(x, d, out=d)
+    d *= mu
+    d += e
+    np.divide(free, mu, out=e)
+    return e, d
 
 
 def _project(w, a):
@@ -238,20 +264,30 @@ def _update_core(split, dual_split, mu_k, alpha):
 def iterate(state, x, config):
     """Run one full pass and return the advanced state.
 
-    W = mu (X - E) + Lambda is formed once, and its projection W_i.T @ A
-    feeds both the B update and the split update. Numerical failures in
-    the basis or split updates are re-raised as SolverError carrying the
-    pass number.
+    The pass runs in place: E and Lambda are overwritten in
+    state.outliers and state.dual_rec, which the returned state shares,
+    so the state passed in is consumed and must not be iterated again.
+    Its two scratch buffers move to the returned state, allocated on the
+    first pass, and carry D = X - a K b.T to the next pass, which must be
+    given the same x.
+
+    E and W = mu (X - E) + Lambda are computed together from D and
+    Lambda, and the projection W_i.T @ A feeds both the B update and the
+    split update. Numerical failures in the basis or split updates are
+    re-raised as SolverError carrying the pass number.
     """
+    work, state.scratch = state.scratch, None
+    if work is None or work.x is not x:
+        d = reconstruct(state.split, state.a, state.b, out=np.empty(x.shape, order="F"))
+        np.subtract(x, d, out=d)
+        work = _Scratch(x, d, np.empty_like(d))
     mu, mu_k = state.mu, state.mu_k
     try:
-        e = _update_outliers(
-            x, state.a, state.b, state.split, state.dual_rec, mu, config.lam
+        e, w = _outliers_and_data(
+            x, work.d, state.dual_rec, mu, config.lam, state.outliers, work.free
         )
-        w = _weighted(x - e, state.dual_rec, mu)
         a = _basis_a(w, state.b, state.split, mu)
         wa = _project(w, a)
-        del w  # freed before the dual step's rebuild, to bound the pass's memory
         b = _basis_b(wa, state.split, a, mu)
         k = _split(wa, a, b, state.core, state.dual_split, mu, mu_k)
         core = _update_core(k, state.dual_split, mu_k, config.alpha)
@@ -259,33 +295,48 @@ def iterate(state, x, config):
         raise SolverError(
             f"iteration {state.iteration + 1}: {exc}", state.iteration + 1, None
         ) from exc
-    # Lambda + mu (X - E - a K_i b.T), accumulated in the rebuilt tensor
-    dual_rec = reconstruct(k, a, b)
-    np.subtract(x, dual_rec, out=dual_rec)
-    dual_rec -= e
-    dual_rec *= mu
-    dual_rec += state.dual_rec
-    dual_split = state.dual_split + mu_k * (core - k)
-    return SolverState(
+    # D = X - a K b.T for the next pass, then Lambda += mu (D - E) through W
+    d = reconstruct(k, a, b, out=work.free)
+    np.subtract(x, d, out=d)
+    np.subtract(d, e, out=w)
+    w *= mu
+    state.dual_rec += w
+    work.d, work.free = d, w
+    advanced = SolverState(
         a=a,
         b=b,
         core=core,
         split=k,
         outliers=e,
-        dual_rec=dual_rec,
-        dual_split=dual_split,
+        dual_rec=state.dual_rec,
+        dual_split=state.dual_split + mu_k * (core - k),
         mu=min(state.mu_cap, config.rho * mu),
         mu_k=min(state.mu_k_cap, config.rho * mu_k),
         mu_cap=state.mu_cap,
         mu_k_cap=state.mu_k_cap,
         iteration=state.iteration + 1,
     )
+    advanced.scratch = work
+    return advanced
 
 
-def _residuals(state, x, x_sq):
-    # (err_rec, err_split, whether a denominator is zero), given x_sq, the
-    # squared slice norms of x
-    resid = reconstruct(state.core, state.a, state.b)
+def errors_of(state, x, *, x_sq=None, scratch=None):
+    """Worst-slice squared relative residuals (err_rec, err_split).
+
+    err_rec measures X_i - a R_i b.T - E_i against ||X_i||_F^2 and
+    err_split measures R_i - K_i against ||R_i||_F^2. Zero-norm slices
+    are guarded with a 1e-300 denominator floor and reported through a
+    warning.
+
+    A caller checking every pass passes x_sq, the squared slice norms of
+    x, and the state's scratch, whose free buffer then receives the
+    residual; the warning fires once per scratch, so once per solve.
+    """
+    if x_sq is None:
+        x_sq = slice_norms(x) ** 2
+    resid = reconstruct(
+        state.core, state.a, state.b, out=None if scratch is None else scratch.free
+    )
     np.subtract(x, resid, out=resid)
     resid -= state.outliers
     resid_sq = slice_norms(resid) ** 2
@@ -293,20 +344,14 @@ def _residuals(state, x, x_sq):
     gap_sq = slice_norms(state.core - state.split) ** 2
     err_rec = float(np.max(resid_sq / np.maximum(x_sq, TINY_DENOM)))
     err_split = float(np.max(gap_sq / np.maximum(core_sq, TINY_DENOM)))
-    return err_rec, err_split, bool(np.any(x_sq == 0) or np.any(core_sq == 0))
-
-
-def errors_of(state, x):
-    """Worst-slice squared relative residuals (err_rec, err_split).
-
-    err_rec measures X_i - a R_i b.T - E_i against ||X_i||_F^2 and
-    err_split measures R_i - K_i against ||R_i||_F^2. Zero-norm slices
-    are guarded with a 1e-300 denominator floor and reported through a
-    warning.
-    """
-    err_rec, err_split, degenerate = _residuals(state, x, slice_norms(x) ** 2)
-    if degenerate:
-        warnings.warn(ZERO_NORM_WARNING, RuntimeWarning, stacklevel=2)
+    if (np.any(x_sq == 0) or np.any(core_sq == 0)) and (
+        scratch is None or not scratch.warned
+    ):
+        # solve is the caller that passes its scratch; point at solve's caller
+        level = 2 if scratch is None else 3
+        warnings.warn(ZERO_NORM_WARNING, RuntimeWarning, stacklevel=level)
+        if scratch is not None:
+            scratch.warned = True
     return err_rec, err_split
 
 
@@ -337,7 +382,13 @@ def solve(x, config=None):
     config.epsilon, or max_iter passes. Deterministic given (x, config).
     Non-convergence is reported through Factorization.converged, not an
     error; numerical failures raise SolverError with the partial trace
-    attached.
+    attached. An x whose squared slice norms overflow float64 raises
+    SolverError at iteration 1, before any pass.
+
+    Each pass is one call of iterate, which advances the state in place,
+    and one errors_of check, which reuses the state's scratch. A pass
+    makes two low-rank rebuilds and, after the first, allocates no
+    data-sized array; the solve holds at most five, x included.
 
     The whole solve runs with numpy's bundled OpenBLAS library at one
     thread, and the caller's thread count is restored on return or
@@ -350,11 +401,17 @@ def solve(x, config=None):
         cfg = (config if config is not None else SolverConfig()).resolved(
             x.shape[0], x.shape[1]
         )
-        state = initialize(x, cfg)
         x_sq = slice_norms(x) ** 2
+        if not np.isfinite(x_sq).all():
+            raise SolverError(
+                "iteration 1: the squared slice norms of the input overflow "
+                "float64; rescale the data",
+                1,
+                np.zeros((0, 4)),
+            )
+        state = initialize(x, cfg)
         trace = np.zeros((cfg.max_iter, 4))
         converged = False
-        warned = False
         done = 0
         for t in range(cfg.max_iter):
             mu, mu_k = state.mu, state.mu_k
@@ -363,10 +420,7 @@ def solve(x, config=None):
             except SolverError as exc:
                 exc.trace = trace[:done].copy()
                 raise
-            err_rec, err_split, degenerate = _residuals(state, x, x_sq)
-            if degenerate and not warned:
-                warnings.warn(ZERO_NORM_WARNING, RuntimeWarning, stacklevel=2)
-                warned = True
+            err_rec, err_split = errors_of(state, x, x_sq=x_sq, scratch=state.scratch)
             trace[t] = (err_rec, err_split, mu, mu_k)
             done = t + 1
             if max(err_rec, err_split) <= cfg.epsilon:

@@ -35,7 +35,7 @@ def as_tensor(data):
     return t
 
 
-def mode_product(t, u, mode):
+def mode_product(t, u, mode, out=None):
     """Multiply a tensor by a matrix along mode 1 or mode 2.
 
     Mode 1 maps each frontal slice X_i to u @ X_i; mode 2 maps X_i to
@@ -47,6 +47,9 @@ def mode_product(t, u, mode):
     t : ndarray, shape (m, n, N)
     u : ndarray, 2-d; u.shape[1] must equal m (mode 1) or n (mode 2)
     mode : 1 or 2
+    out : ndarray, optional
+        Fortran-contiguous float64 array of the result's shape to write
+        the result into; it is returned.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
@@ -54,23 +57,33 @@ def mode_product(t, u, mode):
         raise ValueError(
             f"mode-{mode} product needs u.shape[1] == {t.shape[mode - 1]}, got {u.shape}"
         )
+    m, n, num = t.shape
+    shape = (u.shape[0], n, num) if mode == 1 else (m, u.shape[0], num)
+    if out is None:
+        out = np.empty(shape, order="F")
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.f_contiguous:
+        raise ValueError(
+            f"out must be a Fortran-contiguous float64 array of shape {shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
     if mode == 1:
         # slices u @ T_i: (T_i.T @ u.T) for all i is one (N*n x m) @ (m x p) GEMM
-        m, n, num = t.shape
-        return (t.T.reshape(num * n, m) @ u.T).reshape(num, n, u.shape[0]).T
-    # slices T_i @ u.T: (u @ T_i.T) for all i as one batched matmul
-    return np.matmul(u, t.T).T
+        np.matmul(t.T.reshape(num * n, m), u.T, out=out.T.reshape(num * n, -1))
+    else:
+        # slices T_i @ u.T: (u @ T_i.T) for all i as one batched matmul
+        np.matmul(u, t.T, out=out.T)
+    return out
 
 
-def reconstruct(core, a, b):
+def reconstruct(core, a, b, out=None):
     """Assemble the low-rank tensor with slices a @ R_i @ b.T.
 
     core has shape (r, r, N), a is m x r, b is n x r; the result is
     (m, n, N). It is the mode-1 product with a, then the mode-2 product
     with b: the small products a @ R_i as one GEMM, then one batched
-    matmul with b.
+    matmul with b, written into out if given (see mode_product).
     """
-    return mode_product(mode_product(core, a, 1), b, 2)
+    return mode_product(mode_product(core, a, 1), b, 2, out=out)
 
 
 def slice_norms(t):

@@ -20,6 +20,7 @@ from kdrsdl import (
     iterate,
     read_image,
     read_tensor,
+    reconstruct,
     relative_error,
     rpca_ialm,
     solve,
@@ -32,11 +33,10 @@ from kdrsdl.linalg import solve_stein
 from kdrsdl.solver import (
     _basis_a,
     _basis_b,
+    _outliers_and_data,
     _project,
     _split,
     _update_core,
-    _update_outliers,
-    _weighted,
     lagrangian,
 )
 from kdrsdl.synthetic import density
@@ -148,11 +148,11 @@ def test_criterion_07_block_updates_never_increase_objective():
         state = initialize(x, cfg)
         for _ in range(5):
             values = [lagrangian(state, x, cfg)]
-            e = _update_outliers(x, state.a, state.b, state.split,
-                                 state.dual_rec, state.mu, cfg.lam)
+            d = x - reconstruct(state.split, state.a, state.b)
+            e, w = _outliers_and_data(x, d, state.dual_rec, state.mu, cfg.lam,
+                                      np.empty_like(x), np.empty_like(x))
             state = replace(state, outliers=e)
             values.append(lagrangian(state, x, cfg))
-            w = _weighted(x - e, state.dual_rec, state.mu)
             a = _basis_a(w, state.b, state.split, state.mu)
             state = replace(state, a=a)
             values.append(lagrangian(state, x, cfg))

@@ -9,8 +9,15 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kdrsdl import mode_product, reconstruct, solve_stein
-from kdrsdl.solver import _gram, _project, _target_a, _target_b
+from kdrsdl import SolverConfig, iterate, mode_product, reconstruct, shrink, solve_stein
+from kdrsdl.solver import (
+    SolverState,
+    _gram,
+    _outliers_and_data,
+    _project,
+    _target_a,
+    _target_b,
+)
 
 RTOL = 1e-12
 
@@ -22,8 +29,9 @@ def draw(rng, shape, order):
     return np.asarray(rng.standard_normal(shape), order=order)
 
 
-def assert_close(got, expected):
-    scale = max(1.0, float(np.abs(expected).max()))
+def assert_close(got, expected, *terms):
+    # relative to the largest of the result and the terms it is computed from
+    scale = max(1.0, *(float(np.abs(t).max()) for t in (expected, *terms)))
     np.testing.assert_allclose(got, expected, rtol=0, atol=RTOL * scale)
 
 
@@ -41,6 +49,9 @@ def test_rebuild_matches_einsum(m, n, r, num, seed, order):
     assert got.flags.f_contiguous
     assert_close(got, np.einsum("ia,abk,jb->ijk", a, core, b))
     assert got.tobytes() == mode_product(mode_product(core, a, 1), b, 2).tobytes()
+    out = np.empty((m, n, num), order="F")
+    assert reconstruct(core, a, b, out=out) is out
+    assert out.tobytes() == got.tobytes()
 
 
 @shapes
@@ -86,3 +97,48 @@ def test_stein_stack_matches_einsum(r, num, seed, order):
     assert got.shape == (r, r, num)
     assert_close(got, np.einsum("ab,bci,dc->adi", qa, rotated, qb))
     assert_close(got - np.einsum("ab,bci,cd->adi", lhs, got, rhs), c)
+
+
+@shapes
+@given(m=dims, n=dims, r=dims, num=dims, seed=st.integers(0, 2**32 - 1),
+       mu=st.floats(1e-2, 1e2), mu_k=st.floats(1e-2, 1e2))
+@example(m=1, n=1, r=1, num=1, seed=0, mu=1.0, mu_k=1.0)
+@example(m=1, n=6, r=1, num=3, seed=3, mu=0.5, mu_k=2.0)
+@example(m=5, n=4, r=3, num=1, seed=4, mu=20.0, mu_k=0.1)
+def test_fused_pass_updates_match_reference_formulas(m, n, r, num, seed, mu, mu_k):
+    # E = shrink(X - a K b.T + Lambda/mu, lam/mu), W = mu (X - E) + Lambda and
+    # Lambda' = Lambda + mu (X - E - a K' b'.T), the last after a whole pass
+    r = min(r, m, n)
+    rng = np.random.default_rng(seed)
+    cfg = SolverConfig(r=r).resolved(m, n)
+    x = draw(rng, (m, n, num), "F")
+    a, b = rng.standard_normal((m, r)), rng.standard_normal((n, r))
+    split = draw(rng, (r, r, num), "F")
+    dual_rec = draw(rng, (m, n, num), "F")
+    low_rank = np.einsum("ia,abk,jb->ijk", a, split, b)
+    e_ref = shrink(x - low_rank + dual_rec / mu, cfg.lam / mu)
+    w_ref = mu * (x - e_ref) + dual_rec
+
+    d = np.asfortranarray(x - low_rank)
+    e, w = _outliers_and_data(x, d, dual_rec, mu, cfg.lam, np.empty_like(x), np.empty_like(x))
+    assert w is d
+    assert_close(e, e_ref, x - low_rank, dual_rec / mu)
+    assert_close(w, w_ref, mu * x, mu * e_ref, dual_rec)
+
+    state = SolverState(
+        a=a, b=b, core=draw(rng, (r, r, num), "F"), split=split,
+        outliers=np.zeros_like(x), dual_rec=dual_rec.copy(order="F"),
+        dual_split=draw(rng, (r, r, num), "F"), mu=mu, mu_k=mu_k,
+        mu_cap=1e3, mu_k_cap=1e3,
+    )
+    after = iterate(state, x, cfg)
+    assert state.scratch is None and after.scratch is not None
+    assert after.outliers is state.outliers
+    assert after.dual_rec is state.dual_rec
+    assert_close(after.outliers, e_ref, x - low_rank, dual_rec / mu)
+    low_rank = np.einsum("ia,abk,jb->ijk", after.a, after.split, after.b)
+    assert_close(
+        after.dual_rec,
+        dual_rec + mu * (x - e_ref - low_rank),
+        dual_rec, mu * x, mu * e_ref, mu * low_rank,
+    )

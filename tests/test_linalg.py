@@ -46,6 +46,12 @@ def test_shrink_boundary_maps_to_zero():
     assert out[0, 0] == 0.0
 
 
+def test_shrink_maps_the_dead_zone_to_positive_zero():
+    out = shrink(np.array([-0.0, 0.0, -0.5, 0.5, -0.3, 0.3]), 0.5)
+    assert not out.any()
+    assert not np.signbit(out).any()
+
+
 def test_shrink_rejects_negative_threshold():
     with pytest.raises(ValueError):
         shrink(np.zeros((2, 2)), -1e-12)

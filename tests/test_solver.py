@@ -1,6 +1,7 @@
 """Solver configuration, initialization, iteration, and convergence."""
 
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -21,13 +22,8 @@ from kdrsdl import (
 )
 from kdrsdl import linalg, solver  # modules, for monkeypatching
 from kdrsdl.linalg import _one_blas_thread, _openblas_controls, shrink
-from kdrsdl.solver import (
-    _basis_a,
-    _basis_b,
-    _project,
-    _update_outliers,
-    _weighted,
-)
+from kdrsdl.solver import _basis_a, _basis_b, _outliers_and_data, _project
+from kdrsdl.tensor import slice_norms
 
 
 def consistent_state(rng, m, n, num, r, config):
@@ -150,12 +146,17 @@ def test_iterate_split_solves_stein_equation():
     cfg = SolverConfig(r=4).resolved(10, 10)
     state = initialize(x, cfg)
     # replay the pass up to the split update to get its inputs
-    e = _update_outliers(x, state.a, state.b, state.split, state.dual_rec, state.mu, cfg.lam)
+    d = x - reconstruct(state.split, state.a, state.b)
+    e, w = _outliers_and_data(
+        x, d, state.dual_rec, state.mu, cfg.lam, np.empty_like(x), np.empty_like(x)
+    )
     x_fit = x - e
-    w = _weighted(x_fit.copy(order="K"), state.dual_rec, state.mu)
     a = _basis_a(w, state.b, state.split, state.mu)
     b = _basis_b(_project(w, a), state.split, a, state.mu)
-    after = iterate(state, x, cfg)
+    # iterate overwrites E and Lambda in place, so it runs on a copy
+    after = iterate(
+        replace(state, outliers=state.outliers.copy(), dual_rec=state.dual_rec.copy()), x, cfg
+    )
     lhs = -(state.mu / state.mu_k) * (a.T @ a)
     rhs = b.T @ b
     for i in range(3):
@@ -169,6 +170,45 @@ def test_iterate_split_solves_stein_equation():
         system = np.eye(16) - np.kron(rhs.T, lhs)
         oracle = np.linalg.solve(system, c.ravel(order="F")).reshape((4, 4), order="F")
         assert np.max(np.abs(k - oracle)) <= 1e-9
+
+
+def state_bits(state):
+    fields = ("a", "b", "core", "split", "outliers", "dual_rec", "dual_split")
+    return [getattr(state, name).tobytes() for name in fields]
+
+
+def test_carried_difference_matches_a_fresh_rebuild():
+    """The D = X - a K b.T a pass carries equals the rebuild a new state starts from.
+
+    replace drops the scratch, so the fresh chain rebuilds D every pass;
+    the last pass gets a new x, for which the carried D must not be used.
+    """
+    spec = SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=4)
+    x, _ = generate(spec)
+    cfg = SolverConfig(r=3).resolved(12, 10)
+    carried, fresh = initialize(x, cfg), initialize(x, cfg)
+    for data in (x, x, x, 2 * x):
+        carried = iterate(carried, data, cfg)
+        fresh = replace(fresh)
+        assert fresh.scratch is None
+        fresh = iterate(fresh, data, cfg)
+        assert state_bits(carried) == state_bits(fresh)
+
+
+def test_warm_pass_allocates_no_data_sized_array():
+    spec = SyntheticSpec(m=40, n=40, num_slices=10, rank_a=2, rank_b=2, r=2, p=0.7, seed=0)
+    x, _ = generate(spec)
+    cfg = SolverConfig(r=2).resolved(40, 40)
+    state = iterate(initialize(x, cfg), x, cfg)
+    x_sq = slice_norms(x) ** 2
+    tracemalloc.start()
+    try:
+        state = iterate(state, x, cfg)
+        errors_of(state, x, x_sq=x_sq, scratch=state.scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * x.nbytes
 
 
 def test_iterate_core_is_shrunk_split():
@@ -299,6 +339,16 @@ def test_overflowing_input_raises_solver_error_at_first_pass():
     assert info.value.trace.shape == (0, 4)
 
 
+def test_overflowing_input_names_the_overflow_without_numpy_warnings():
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(solver.SolverError, match=r"^iteration 1: .*norms .* overflow") as info:
+            solve(x * 1e200, SolverConfig(r=3))
+    assert info.value.iteration == 1
+    assert info.value.trace.shape == (0, 4)
+
+
 def test_zero_slice_warning_fires_once_per_solve():
     spec = SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0)
     x, _ = generate(spec)
@@ -310,6 +360,14 @@ def test_zero_slice_warning_fires_once_per_solve():
     flagged = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert len(flagged) == 1
     assert "zero-norm" in str(flagged[0].message)
+
+
+def test_zero_slice_warning_points_at_the_caller_of_solve():
+    x = np.zeros((5, 4, 3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve(x, SolverConfig(r=2))
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_solve_bit_identical_in_c_and_fortran_order():

@@ -79,6 +79,15 @@ def test_mode_product_dimension_mismatch():
         mode_product(t, np.zeros((2, 5)), 2)
 
 
+def test_mode_product_rejects_an_out_it_cannot_fill():
+    t = np.ones((4, 3, 2))
+    u = np.ones((5, 4))
+    for out in (np.empty((5, 3, 2)), np.empty((5, 3, 3), order="F"),
+                np.empty((5, 3, 2), dtype=np.float32, order="F")):
+        with pytest.raises(ValueError, match="out must be"):
+            mode_product(t, u, 1, out=out)
+
+
 def test_mode_product_rejects_other_modes():
     with pytest.raises(ValueError):
         mode_product(np.zeros((2, 2, 2)), np.eye(2), 3)
