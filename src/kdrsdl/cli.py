@@ -10,16 +10,20 @@ Subcommands:
 * ``eval``       compare two stored tensors
 
 Every command writes its artifacts under --out-dir, including a
-metrics.csv and a manifest.json recording the effective parameters and
-seed, so a run can be rerun with the same parameters. Exit codes: 0 on
-success, 1 when the solver fails, 2 for usage errors (bad flags, missing
-or malformed inputs).
+metrics.csv and a manifest.json. _write_run builds every manifest the
+same way: each parsed flag under its argparse dest, then the values the
+command resolved from them, then the resolved solver configuration as
+config.* in place of the raw solver flags. A run can therefore be rerun
+with the manifest's parameters. Exit codes: 0 on success, 1 when the
+solver fails, 2 for usage errors (bad flags, missing or malformed
+inputs).
 """
 
 import argparse
 import glob
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,25 +53,38 @@ def _expand(pattern):
     return sorted(glob.glob(pattern))
 
 
-def _write_run(out_dir, metrics, manifest=None, arrays=()):
-    """Create out_dir and write a run's arrays, metrics.csv and manifest.json.
+def _solver_config(args, m, n):
+    # a SolverConfig from the solver flags the command has, resolved for m x n
+    given = {f.name: getattr(args, f.name) for f in fields(SolverConfig) if hasattr(args, f.name)}
+    return SolverConfig(**given).resolved(m, n)
 
-    arrays yields (file name, data) pairs: .kdt names are written as
-    tensors, all others as images. manifest is None when save_bundle has
-    already written it.
+
+def _write_run(args, metrics, config=None, fac=None, arrays=(), **resolved):
+    """Create --out-dir and write a run's arrays, metrics.csv and manifest.json.
+
+    The one place a manifest is built. It holds every parsed flag but
+    --out-dir under its argparse dest, then the values the command
+    resolved from the flags (resolved), then, when config is given, its
+    fields as config.* in place of the solver flags of the same names.
+    With fac, the run is a bundle: save_bundle writes it with the
+    manifest, adding converged and iterations. arrays yields (file name,
+    data) pairs: .kdt names are written as tensors, all others as images.
     """
-    out_dir = Path(out_dir)
+    manifest = {k: v for k, v in vars(args).items() if k not in ("out_dir", "func")}
+    manifest.update(resolved)
+    if config is not None:
+        for name, value in asdict(config).items():
+            manifest.pop(name, None)
+            manifest[f"config.{name}"] = value
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, data in arrays:
         (write_tensor if name.endswith(".kdt") else write_image)(out_dir / name, data)
     write_metrics(out_dir / "metrics.csv", metrics)
-    if manifest is not None:
+    if fac is None:
         write_manifest(out_dir / "manifest.json", manifest)
-
-
-def _denoise_alpha(noise_level):
-    # heavier corruption needs a stronger pull toward a sparse core
-    return 1e-3 if noise_level <= 0.3 else 1e-2
+    else:
+        save_bundle(out_dir, fac, config, extra=manifest)
 
 
 def cmd_synth(args):
@@ -83,22 +100,10 @@ def cmd_synth(args):
         seed=args.seed,
     )
     x, truth = generate(spec)
-    config = SolverConfig(r=r, lam=args.lam, alpha=args.alpha).resolved(args.m, args.n)
+    config = _solver_config(args, args.m, args.n)
     start = time.perf_counter()
     fac = solve(x, config)
     elapsed = time.perf_counter() - start
-    extra = {
-        "command": "synth",
-        "m": args.m,
-        "n": args.n,
-        "num_slices": args.num_slices,
-        "rank_a": args.rank_a,
-        "rank_b": args.rank_b,
-        "zero_prob": args.zero_prob,
-        "seed": args.seed,
-        "prng": PRNG_ALGORITHM,
-    }
-    save_bundle(args.out_dir, fac, config, extra=extra)
     truth_e_norm = np.linalg.norm(truth.outliers)
     values = {
         "relative_error_low_rank": relative_error(fac.low_rank(), truth.low_rank),
@@ -114,7 +119,7 @@ def cmd_synth(args):
         "iterations": fac.iterations,
         "converged": fac.converged,
     }
-    _write_run(args.out_dir, values)
+    _write_run(args, values, config, fac, prng=PRNG_ALGORITHM)
     print(
         f"solved in {fac.iterations} iterations, {elapsed:.2f} s; "
         f"error on L = {values['relative_error_low_rank']:.3e}"
@@ -124,18 +129,10 @@ def cmd_synth(args):
 
 def cmd_decompose(args):
     x = read_tensor(args.input)
-    config = SolverConfig(
-        r=args.r,
-        lam=args.lam,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        max_iter=args.max_iter,
-    ).resolved(x.shape[0], x.shape[1])
+    config = _solver_config(args, x.shape[0], x.shape[1])
     start = time.perf_counter()
     fac = solve(x, config)
     elapsed = time.perf_counter() - start
-    extra = {"command": "decompose", "input": args.input}
-    save_bundle(args.out_dir, fac, config, extra=extra)
     values = {
         "err_rec": fac.trace[-1, 0],
         "err_split": fac.trace[-1, 1],
@@ -143,7 +140,7 @@ def cmd_decompose(args):
         "iterations": fac.iterations,
         "converged": fac.converged,
     }
-    _write_run(args.out_dir, values)
+    _write_run(args, values, config, fac)
     print(f"solved in {fac.iterations} iterations, {elapsed:.2f} s")
     return 0
 
@@ -155,20 +152,14 @@ def cmd_rpca(args):
     result = rpca_slices(x, lam=lam, epsilon=args.epsilon, max_iter=args.max_iter)
     elapsed = time.perf_counter() - start
     _write_run(
-        args.out_dir,
+        args,
         {
             "outlier_density": density(result.sparse),
             "iterations": result.iterations,
             "converged": result.converged,
         },
-        {
-            "command": "rpca",
-            "input": args.input,
-            "lam": lam,
-            "epsilon": args.epsilon,
-            "max_iter": args.max_iter,
-        },
-        [("low_rank.kdt", result.low_rank), ("sparse.kdt", result.sparse)],
+        arrays=[("low_rank.kdt", result.low_rank), ("sparse.kdt", result.sparse)],
+        lam=lam,
     )
     print(f"decomposed {x.shape[2]} slices in {elapsed:.2f} s")
     return 0
@@ -190,9 +181,7 @@ def cmd_bgsub(args):
     labels = (masks > 0.5).astype(np.int64)
     if labels.min() == labels.max():
         return _fail("masks contain a single class; cannot score a ranking")
-    config = SolverConfig(r=args.r, lam=args.lam, alpha=args.alpha).resolved(
-        x.shape[0], x.shape[1]
-    )
+    config = _solver_config(args, x.shape[0], x.shape[1])
     fac = solve(x, config)
     scores = np.abs(fac.outliers)
     # both stacks are in the canonical column-major layout: flatten without a copy
@@ -212,7 +201,7 @@ def cmd_bgsub(args):
         for i in range(x.shape[2])
     )
     _write_run(
-        args.out_dir,
+        args,
         {
             "auc_pooled": auc_pooled,
             "auc_per_frame": auc_per_frame,
@@ -221,15 +210,10 @@ def cmd_bgsub(args):
             "iterations": fac.iterations,
             "converged": fac.converged,
         },
-        {
-            "command": "bgsub",
-            "frames": ";".join(frame_paths),
-            "mask_frames": ";".join(mask_paths),
-            "config.r": config.r,
-            "config.lam": config.lam,
-            "config.alpha": config.alpha,
-        },
-        foreground,
+        config,
+        arrays=foreground,
+        frames=";".join(frame_paths),
+        mask_frames=";".join(mask_paths),
     )
     print(f"auc (pooled): {auc_pooled:.6f}")
     print(f"auc (per-frame): {auc_per_frame:.6f}")
@@ -263,7 +247,8 @@ def cmd_denoise(args):
     if len(kinds) > 1:
         return _fail("cannot mix grayscale and color images in one run")
     rng = np.random.default_rng(args.seed)
-    alpha = _denoise_alpha(args.noise_level)
+    # heavier corruption needs a stronger pull toward a sparse core
+    alpha = 1e-3 if args.noise_level <= 0.3 else 1e-2
     if kinds == {2}:
         # grayscale frames form one stack and are denoised jointly, so the
         # shared bases see every image; a lone frame has no such support
@@ -298,20 +283,7 @@ def cmd_denoise(args):
             idx += 1
     values["mean_psnr_input"] = float(np.mean(psnrs_in))
     values["mean_psnr"] = float(np.mean(psnrs_out))
-    _write_run(
-        args.out_dir,
-        values,
-        {
-            "command": "denoise",
-            "images": ";".join(paths),
-            "noise_level": args.noise_level,
-            "seed": args.seed,
-            "method": args.method,
-            "r": args.r,
-            "alpha": alpha,
-        },
-        files,
-    )
+    _write_run(args, values, arrays=files, images=";".join(paths), alpha=alpha)
     print(f"mean psnr: {values['mean_psnr']:.2f} dB over {idx} images")
     return 0
 
@@ -326,16 +298,7 @@ def cmd_eval(args):
     values = {"relative_error": relative_error(estimate, reference)}
     if args.peak is not None:
         values["psnr"] = psnr(estimate, reference, peak=args.peak)
-    _write_run(
-        args.out_dir,
-        values,
-        {
-            "command": "eval",
-            "estimate": args.estimate,
-            "reference": args.reference,
-            "peak": args.peak,
-        },
-    )
+    _write_run(args, values)
     print(f"relative error: {values['relative_error']:.6e}")
     return 0
 

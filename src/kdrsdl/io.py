@@ -306,8 +306,7 @@ def save_bundle(out_dir, fac, config, extra=None):
     entries = {f"config.{k}": v for k, v in asdict(config).items()}
     entries["converged"] = fac.converged
     entries["iterations"] = fac.iterations
-    for key, value in (extra or {}).items():
-        entries[key] = value
+    entries.update(extra or {})
     write_manifest(out_dir / "manifest.json", entries)
     return out_dir
 

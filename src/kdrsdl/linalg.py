@@ -7,10 +7,12 @@ elementwise divide in the rotated frame, and the Gram systems to a
 divide by the eigenvalues. The general non-symmetric case is rejected
 rather than silently mishandled.
 
-The module also owns the BLAS thread pin the solver runs under: its
-products are r-skinny and its Gram and Stein systems r x r, which
-OpenBLAS runs slower, and with different bits, when it splits them
-across threads. The pin manages the OpenBLAS library bundled with numpy.
+The module also owns the BLAS thread pin that the solver and the
+slice-wise RPCA baseline run under: the solver's products are r-skinny
+and its Gram and Stein systems r x r, and the baseline's SVDs are
+slice-sized, which OpenBLAS runs slower, and with different bits, when
+it splits them across threads. The pin manages the OpenBLAS library
+bundled with numpy.
 """
 
 import ctypes

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import shrink, thin_svd
+from .linalg import _one_blas_thread, shrink, thin_svd
 
 
 @dataclass
@@ -77,16 +77,22 @@ def rpca_slices(x, lam=None, epsilon=1e-7, max_iter=1000):
 
     The result holds the stacked low-rank and sparse parts, the most
     passes any slice took, and whether every slice converged.
+
+    Like solve, the loop runs with numpy's bundled OpenBLAS library at
+    one thread and restores the caller's count on return or error:
+    slice-sized SVDs run faster unsplit, and the output bits do not
+    depend on the caller's thread count.
     """
     x = np.asarray(x, dtype=np.float64)
     low_rank = np.empty_like(x)
     sparse = np.empty_like(x)
     iterations = 0
     converged = True
-    for i in range(x.shape[2]):
-        result = rpca_ialm(x[:, :, i], lam=lam, epsilon=epsilon, max_iter=max_iter)
-        low_rank[:, :, i] = result.low_rank
-        sparse[:, :, i] = result.sparse
-        iterations = max(iterations, result.iterations)
-        converged = converged and result.converged
+    with _one_blas_thread():
+        for i in range(x.shape[2]):
+            result = rpca_ialm(x[:, :, i], lam=lam, epsilon=epsilon, max_iter=max_iter)
+            low_rank[:, :, i] = result.low_rank
+            sparse[:, :, i] = result.sparse
+            iterations = max(iterations, result.iterations)
+            converged = converged and result.converged
     return RpcaResult(low_rank, sparse, iterations, converged)

@@ -40,6 +40,10 @@ from .tensor import as_tensor, reconstruct, slice_norms
 
 TINY_DENOM = 1e-300
 ZERO_NORM_WARNING = "zero-norm slices in the convergence denominators"
+# step-size schedule: initial scale, growth per pass, cap over the initial value
+ETA = 1.25
+RHO = 1.2
+MU_CAP_FACTOR = 1e7
 
 
 class SolverError(RuntimeError):
@@ -57,19 +61,17 @@ class SolverConfig:
 
     r and lam default to None and are resolved against the data: r
     becomes min(m, n) and lam becomes 1/sqrt(max(m, n)). alpha weights
-    the core sparsity, eta scales the initial dual step sizes, rho > 1
-    grows them each pass, and mu_cap_factor bounds them at
-    mu_cap_factor times their initial values. Iteration stops when the
-    worst-slice squared relative residuals of both constraints drop
-    below epsilon, or at max_iter.
+    the core sparsity. Iteration stops when the worst-slice squared
+    relative residuals of both constraints drop below epsilon, or at
+    max_iter. The step-size schedule is fixed by the module constants:
+    ETA scales the initial dual step sizes, RHO grows them each pass,
+    and MU_CAP_FACTOR bounds them at that multiple of their initial
+    values.
     """
 
     r: int | None = None
     lam: float | None = None
     alpha: float = 1e-2
-    eta: float = 1.25
-    rho: float = 1.2
-    mu_cap_factor: float = 1e7
     epsilon: float = 1e-7
     max_iter: int = 1000
 
@@ -80,12 +82,8 @@ class SolverConfig:
         cfg = replace(self, r=r, lam=lam)
         if not 1 <= r <= min(m, n):
             raise ValueError(f"need 1 <= r <= min(m, n) = {min(m, n)}, got r={r}")
-        if lam <= 0 or cfg.alpha <= 0 or cfg.eta <= 0:
-            raise ValueError("lam, alpha and eta must be positive")
-        if cfg.rho <= 1:
-            raise ValueError(f"rho must exceed 1, got {cfg.rho}")
-        if cfg.mu_cap_factor < 1:
-            raise ValueError("mu_cap_factor must be at least 1")
+        if lam <= 0 or cfg.alpha <= 0:
+            raise ValueError("lam and alpha must be positive")
         if cfg.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {cfg.epsilon}")
         if cfg.max_iter < 1:
@@ -157,8 +155,8 @@ def initialize(x, config):
     Each slice contributes its leading r left/right singular vectors to
     running means for A and B, and its leading singular values to a
     diagonal core slice. Columns belonging to exactly-zero singular
-    values are zeroed out. Initial step sizes are eta * N divided by the
-    total slice norm of X (resp. of the core), capped at mu_cap_factor
+    values are zeroed out. Initial step sizes are ETA * N divided by the
+    total slice norm of X (resp. of the core), capped at MU_CAP_FACTOR
     times that.
     """
     m, n, num = x.shape
@@ -180,8 +178,8 @@ def initialize(x, config):
         core[:, :, i] = np.diag(s_r)
     x_total = slice_norms(x).sum()
     core_total = slice_norms(core).sum()
-    mu = config.eta * num / x_total if x_total > 0 else config.eta
-    mu_k = config.eta * num / core_total if core_total > 0 else config.eta
+    mu = ETA * num / x_total if x_total > 0 else ETA
+    mu_k = ETA * num / core_total if core_total > 0 else ETA
     return SolverState(
         a=a_sum / num,
         b=b_sum / num,
@@ -192,8 +190,8 @@ def initialize(x, config):
         dual_split=np.zeros_like(core),
         mu=mu,
         mu_k=mu_k,
-        mu_cap=mu * config.mu_cap_factor,
-        mu_k_cap=mu_k * config.mu_cap_factor,
+        mu_cap=mu * MU_CAP_FACTOR,
+        mu_k_cap=mu_k * MU_CAP_FACTOR,
     )
 
 
@@ -310,8 +308,8 @@ def iterate(state, x, config):
         outliers=e,
         dual_rec=state.dual_rec,
         dual_split=state.dual_split + mu_k * (core - k),
-        mu=min(state.mu_cap, config.rho * mu),
-        mu_k=min(state.mu_k_cap, config.rho * mu_k),
+        mu=min(state.mu_cap, RHO * mu),
+        mu_k=min(state.mu_k_cap, RHO * mu_k),
         mu_cap=state.mu_cap,
         mu_k_cap=state.mu_k_cap,
         iteration=state.iteration + 1,

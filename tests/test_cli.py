@@ -3,14 +3,15 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kdrsdl
-from kdrsdl import SyntheticSpec, generate, read_tensor, write_image, write_tensor
-from kdrsdl.cli import main
+from kdrsdl import SolverConfig, SyntheticSpec, generate, read_tensor, write_image, write_tensor
+from kdrsdl.cli import build_parser, main
 from kdrsdl.io import BUNDLE_FILES, read_manifest, read_metrics
 
 
@@ -394,3 +395,67 @@ def test_no_command_is_usage_error(capsys):
         main([])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def manifest_run_argv(command, tmp_path):
+    """Arguments of a small run of each command, its inputs written under tmp_path."""
+    x, _ = generate(SyntheticSpec(m=14, n=12, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    write_tensor(tmp_path / "x.kdt", x)
+    if command == "synth":
+        return ["synth", "--m", "14", "--n", "12", "--num-slices", "3", "--rank-a", "2",
+                "--rank-b", "2", "--r", "3", "--seed", "2"]
+    if command == "decompose":
+        return ["decompose", "--input", str(tmp_path / "x.kdt"), "--r", "3",
+                "--epsilon", "1e-9", "--max-iter", "200"]
+    if command == "rpca":
+        return ["rpca", "--input", str(tmp_path / "x.kdt"), "--max-iter", "200"]
+    if command == "bgsub":
+        frames, masks = tmp_path / "frames", tmp_path / "masks"
+        frames.mkdir(), masks.mkdir()
+        write_video_fixture(frames, masks)
+        return ["bgsub", "--frames", str(frames / "*.pgm"),
+                "--mask-frames", str(masks / "*.pgm"), "--r", "1"]
+    if command == "denoise":
+        images = tmp_path / "images"
+        images.mkdir()
+        write_banded_images(images, count=3)
+        return ["denoise", "--images", str(images / "*.pgm"), "--noise-level", "0.3", "--r", "3"]
+    return ["eval", "--estimate", str(tmp_path / "x.kdt"),
+            "--reference", str(tmp_path / "x.kdt"), "--peak", "1.0"]
+
+
+@pytest.mark.parametrize("command", ["synth", "decompose", "rpca", "bgsub", "denoise", "eval"])
+def test_manifest_records_every_flag_once(command, tmp_path):
+    argv = manifest_run_argv(command, tmp_path) + ["--out-dir", str(tmp_path / "run")]
+    assert run(*argv) == 0
+    manifest = read_manifest(tmp_path / "run" / "manifest.json")
+    flags = vars(build_parser().parse_args(argv))
+    del flags["out_dir"], flags["func"]
+    config_fields = {f.name for f in fields(SolverConfig)}
+    solved = command in ("synth", "decompose", "bgsub")
+    assert manifest["command"] == command
+    assert "out_dir" not in manifest
+    # the values the command resolves from its flags
+    resolved = {
+        "rpca": {"lam": 1.0 / np.sqrt(14)},
+        "bgsub": {
+            "frames": ";".join(sorted(map(str, (tmp_path / "frames").glob("*.pgm")))),
+            "mask_frames": ";".join(sorted(map(str, (tmp_path / "masks").glob("*.pgm")))),
+        },
+        "denoise": {
+            "images": ";".join(sorted(map(str, (tmp_path / "images").glob("*.pgm")))),
+            "alpha": 1e-3,
+        },
+    }.get(command, {})
+    for name, value in resolved.items():
+        assert manifest[name] == value, name
+    for dest, value in flags.items():
+        if solved and dest in config_fields:
+            assert dest not in manifest, dest
+            if value is not None:
+                assert manifest[f"config.{dest}"] == value, dest
+        else:
+            assert f"config.{dest}" not in manifest, dest
+            assert manifest[dest] == resolved.get(dest, value), dest
+    recorded = {k[len("config."):] for k in manifest if k.startswith("config.")}
+    assert recorded == (config_fields if solved else set())

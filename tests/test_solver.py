@@ -18,9 +18,10 @@ from kdrsdl import (
     iterate,
     reconstruct,
     relative_error,
+    rpca_slices,
     solve,
 )
-from kdrsdl import linalg, solver  # modules, for monkeypatching
+from kdrsdl import linalg, rpca, solver  # modules, for monkeypatching
 from kdrsdl.linalg import _one_blas_thread, _openblas_controls, shrink
 from kdrsdl.solver import _basis_a, _basis_b, _outliers_and_data, _project
 from kdrsdl.tensor import slice_norms
@@ -42,9 +43,9 @@ def test_config_defaults_resolution():
     assert cfg.r == 40
     assert cfg.lam == 1 / np.sqrt(50)
     assert cfg.alpha == 1e-2
-    assert cfg.eta == 1.25
-    assert cfg.rho == 1.2
-    assert cfg.mu_cap_factor == 1e7
+    assert solver.ETA == 1.25
+    assert solver.RHO == 1.2
+    assert solver.MU_CAP_FACTOR == 1e7
     assert cfg.epsilon == 1e-7
     assert cfg.max_iter == 1000
 
@@ -57,11 +58,7 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         SolverConfig(lam=-0.1).resolved(50, 40)
     with pytest.raises(ValueError):
-        SolverConfig(rho=1.0).resolved(50, 40)
-    with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0).resolved(50, 40)
-    with pytest.raises(ValueError):
-        SolverConfig(mu_cap_factor=0.5).resolved(50, 40)
 
 
 def test_initialize_dual_step_formula():
@@ -234,8 +231,8 @@ def test_step_size_schedule_exact():
     for row in fac.trace:
         assert row[2] == mu
         assert row[3] == mu_k
-        mu = min(cap, resolved.rho * mu)
-        mu_k = min(cap_k, resolved.rho * mu_k)
+        mu = min(cap, solver.RHO * mu)
+        mu_k = min(cap_k, solver.RHO * mu_k)
     assert fac.trace[-1, 2] <= cap
 
 
@@ -419,18 +416,25 @@ def bits(fac):
     return [x.tobytes() for x in (fac.a, fac.b, fac.core, fac.outliers, fac.trace)]
 
 
+def rpca_bits(result):
+    return [result.low_rank.tobytes(), result.sparse.tobytes(), result.iterations]
+
+
 @needs_openblas
 def test_solve_bits_do_not_depend_on_caller_blas_threads(caller_threads):
     # at this size OpenBLAS splits the solve's products differently on one
-    # and two threads, so an unpinned solve changes its bits with the count
+    # and two threads, so an unpinned solve changes its bits with the count;
+    # rpca_slices runs under the same pin
     spec = SyntheticSpec(m=100, n=100, num_slices=10, rank_a=5, rank_b=5, r=20, p=0.7, seed=0)
     x, _ = generate(spec)
     runs = []
     for count in (1, 2):
         caller_threads(count)
         runs.append(bits(solve(x, SolverConfig(r=20, max_iter=3))))
+        runs.append(rpca_bits(rpca_slices(x[:, :, :2], max_iter=5)))
         assert blas_threads() == [count] * len(BLAS)
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[2]
+    assert runs[1] == runs[3]
 
 
 @needs_openblas
@@ -438,14 +442,14 @@ def test_solve_restores_caller_blas_threads(caller_threads, monkeypatch):
     caller_threads(2)
     seen = []
 
-    def failing_stein(*args):
+    def failing_kernel(*args):
         seen.append(blas_threads())
-        raise np.linalg.LinAlgError("singular Stein equation")
+        raise np.linalg.LinAlgError("numerical failure")
 
     x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
     solve(x, SolverConfig(r=3, max_iter=2))
     assert blas_threads() == [2] * len(BLAS)
-    monkeypatch.setattr(solver, "solve_stein", failing_stein)
+    monkeypatch.setattr(solver, "solve_stein", failing_kernel)
     with pytest.raises(solver.SolverError):
         solve(x, SolverConfig(r=3))
     assert seen == [[1] * len(BLAS)]
@@ -454,6 +458,15 @@ def test_solve_restores_caller_blas_threads(caller_threads, monkeypatch):
     with _one_blas_thread():
         solve(x, SolverConfig(r=3, max_iter=2))
         assert blas_threads() == [1] * len(BLAS)
+    assert blas_threads() == [2] * len(BLAS)
+    # rpca_slices pins its slice loop the same way
+    rpca_slices(x, max_iter=2)
+    assert blas_threads() == [2] * len(BLAS)
+    seen.clear()
+    monkeypatch.setattr(rpca, "thin_svd", failing_kernel)
+    with pytest.raises(np.linalg.LinAlgError):
+        rpca_slices(x)
+    assert seen == [[1] * len(BLAS)]
     assert blas_threads() == [2] * len(BLAS)
 
 
