@@ -23,7 +23,7 @@ import argparse
 import glob
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +44,6 @@ from .solver import SolverConfig, SolverError, solve
 from .synthetic import PRNG_ALGORITHM, SyntheticSpec, density, generate
 
 
-def _fail(message):
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _expand(pattern):
     return sorted(glob.glob(pattern))
 
@@ -59,23 +54,32 @@ def _solver_config(args, m, n):
     return SolverConfig(**given).resolved(m, n)
 
 
-def _write_run(args, metrics, config=None, fac=None, arrays=(), **resolved):
+def _joined(values):
+    # one manifest value for a parameter of several stacks: the value they
+    # share, or each stack's value joined by ";", as file lists are
+    values = list(values)
+    return values[0] if len(set(values)) == 1 else ";".join(map(str, values))
+
+
+def _write_run(args, metrics, configs=(), fac=None, arrays=(), **resolved):
     """Create --out-dir and write a run's arrays, metrics.csv and manifest.json.
 
     The one place a manifest is built. It holds every parsed flag but
     --out-dir under its argparse dest, then the values the command
-    resolved from the flags (resolved), then, when config is given, its
-    fields as config.* in place of the solver flags of the same names.
-    With fac, the run is a bundle: save_bundle writes it with the
-    manifest, adding converged and iterations. arrays yields (file name,
-    data) pairs: .kdt names are written as tensors, all others as images.
+    resolved from the flags (resolved), then, when the run solved with
+    SolverConfigs (configs, one per stack), their fields as config.* in
+    place of the solver flags of the same names, joined by _joined. With
+    fac, the run is a bundle of one stack: save_bundle writes it with
+    the manifest, adding converged and iterations. arrays yields (file
+    name, data) pairs: .kdt names are written as tensors, all others as
+    images.
     """
     manifest = {k: v for k, v in vars(args).items() if k not in ("out_dir", "func")}
     manifest.update(resolved)
-    if config is not None:
-        for name, value in asdict(config).items():
-            manifest.pop(name, None)
-            manifest[f"config.{name}"] = value
+    if configs:
+        for f in fields(SolverConfig):
+            manifest.pop(f.name, None)
+            manifest[f"config.{f.name}"] = _joined(getattr(c, f.name) for c in configs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, data in arrays:
@@ -84,23 +88,22 @@ def _write_run(args, metrics, config=None, fac=None, arrays=(), **resolved):
     if fac is None:
         write_manifest(out_dir / "manifest.json", manifest)
     else:
-        save_bundle(out_dir, fac, config, extra=manifest)
+        save_bundle(out_dir, fac, configs[0], extra=manifest)
 
 
 def cmd_synth(args):
-    r = args.r if args.r is not None else min(args.m, args.n)
+    config = _solver_config(args, args.m, args.n)
     spec = SyntheticSpec(
         m=args.m,
         n=args.n,
         num_slices=args.num_slices,
         rank_a=args.rank_a,
         rank_b=args.rank_b,
-        r=r,
+        r=config.r,
         p=args.zero_prob,
         seed=args.seed,
     )
     x, truth = generate(spec)
-    config = _solver_config(args, args.m, args.n)
     start = time.perf_counter()
     fac = solve(x, config)
     elapsed = time.perf_counter() - start
@@ -119,7 +122,7 @@ def cmd_synth(args):
         "iterations": fac.iterations,
         "converged": fac.converged,
     }
-    _write_run(args, values, config, fac, prng=PRNG_ALGORITHM)
+    _write_run(args, values, [config], fac, prng=PRNG_ALGORITHM)
     print(
         f"solved in {fac.iterations} iterations, {elapsed:.2f} s; "
         f"error on L = {values['relative_error_low_rank']:.3e}"
@@ -140,7 +143,7 @@ def cmd_decompose(args):
         "iterations": fac.iterations,
         "converged": fac.converged,
     }
-    _write_run(args, values, config, fac)
+    _write_run(args, values, [config], fac)
     print(f"solved in {fac.iterations} iterations, {elapsed:.2f} s")
     return 0
 
@@ -169,18 +172,16 @@ def cmd_bgsub(args):
     frame_paths = _expand(args.frames)
     mask_paths = _expand(args.mask_frames)
     if not frame_paths:
-        return _fail(f"no frames match {args.frames!r}")
+        raise ValueError(f"no frames match {args.frames!r}")
     if len(mask_paths) != len(frame_paths):
-        return _fail(
-            f"{len(frame_paths)} frames but {len(mask_paths)} mask frames"
-        )
+        raise ValueError(f"{len(frame_paths)} frames but {len(mask_paths)} mask frames")
     x = read_image_stack(frame_paths)
     masks = read_image_stack(mask_paths)
     if masks.shape != x.shape:
-        return _fail(f"mask stack is {masks.shape}, frame stack is {x.shape}")
+        raise ValueError(f"mask stack is {masks.shape}, frame stack is {x.shape}")
     labels = (masks > 0.5).astype(np.int64)
     if labels.min() == labels.max():
-        return _fail("masks contain a single class; cannot score a ranking")
+        raise ValueError("masks contain a single class; cannot score a ranking")
     config = _solver_config(args, x.shape[0], x.shape[1])
     fac = solve(x, config)
     scores = np.abs(fac.outliers)
@@ -193,7 +194,7 @@ def cmd_bgsub(args):
             continue
         per_frame.append(roc_auc(scores[:, :, i].ravel(), frame_labels.ravel()))
     if not per_frame:
-        return _fail("no frame has both foreground and background pixels")
+        raise ValueError("no frame has both foreground and background pixels")
     auc_per_frame = float(np.mean(per_frame))
     peak = scores.max()
     foreground = (
@@ -210,7 +211,7 @@ def cmd_bgsub(args):
             "iterations": fac.iterations,
             "converged": fac.converged,
         },
-        config,
+        [config],
         arrays=foreground,
         frames=";".join(frame_paths),
         mask_frames=";".join(mask_paths),
@@ -227,33 +228,22 @@ def _corrupt(image, level, rng):
     return np.where(hits, np.where(salt, 1.0, 0.0), image)
 
 
-def _denoise_tensor(noisy, method, r, alpha):
-    if method == "kdrsdl":
-        config = SolverConfig(r=r, alpha=alpha).resolved(noisy.shape[0], noisy.shape[1])
-        recovered = solve(noisy, config).low_rank()
-    else:
-        recovered = rpca_slices(noisy).low_rank
-    return np.clip(recovered, 0.0, 1.0)
-
-
 def cmd_denoise(args):
     if not 0.0 <= args.noise_level < 1.0:
-        return _fail(f"noise level {args.noise_level} outside [0, 1)")
+        raise ValueError(f"noise level {args.noise_level} outside [0, 1)")
     paths = _expand(args.images)
     if not paths:
-        return _fail(f"no images match {args.images!r}")
+        raise ValueError(f"no images match {args.images!r}")
     images = [read_image(p) for p in paths]
     kinds = {img.ndim for img in images}
     if len(kinds) > 1:
-        return _fail("cannot mix grayscale and color images in one run")
+        raise ValueError("cannot mix grayscale and color images in one run")
     rng = np.random.default_rng(args.seed)
-    # heavier corruption needs a stronger pull toward a sparse core
-    alpha = 1e-3 if args.noise_level <= 0.3 else 1e-2
     if kinds == {2}:
         # grayscale frames form one stack and are denoised jointly, so the
         # shared bases see every image; a lone frame has no such support
         if any(img.shape != images[0].shape for img in images):
-            return _fail("grayscale images must share dimensions")
+            raise ValueError("grayscale images must share dimensions")
         clean = [np.stack(images, axis=2)]
         ext = "pgm"
     else:
@@ -261,12 +251,22 @@ def cmd_denoise(args):
         clean = images
         ext = "ppm"
     noisy = [_corrupt(c, args.noise_level, rng) for c in clean]
-    recovered = [_denoise_tensor(n, args.method, args.r, alpha) for n in noisy]
+    if args.method == "kdrsdl":
+        # heavier corruption needs a stronger pull toward a sparse core
+        alpha = 1e-3 if args.noise_level <= 0.3 else 1e-2
+        configs = [SolverConfig(r=args.r, alpha=alpha).resolved(*n.shape[:2]) for n in noisy]
+        recovered = [solve(n, c).low_rank() for n, c in zip(noisy, configs)]
+        resolved = {}
+    else:
+        lams = [default_lam(*n.shape[:2]) for n in noisy]
+        recovered = [rpca_slices(n, lam=lam).low_rank for n, lam in zip(noisy, lams)]
+        configs, resolved = (), {"lam": _joined(lams)}
     values = {}
     psnrs_in, psnrs_out = [], []
     files = []
     idx = 0
     for c, n, rec in zip(clean, noisy, recovered):
+        rec = np.clip(rec, 0.0, 1.0)
         if ext == "pgm":
             items = [(c[:, :, i], n[:, :, i], rec[:, :, i]) for i in range(n.shape[2])]
         else:
@@ -283,7 +283,7 @@ def cmd_denoise(args):
             idx += 1
     values["mean_psnr_input"] = float(np.mean(psnrs_in))
     values["mean_psnr"] = float(np.mean(psnrs_out))
-    _write_run(args, values, arrays=files, images=";".join(paths), alpha=alpha)
+    _write_run(args, values, configs, arrays=files, images=";".join(paths), **resolved)
     print(f"mean psnr: {values['mean_psnr']:.2f} dB over {idx} images")
     return 0
 
@@ -292,9 +292,7 @@ def cmd_eval(args):
     estimate = read_tensor(args.estimate)
     reference = read_tensor(args.reference)
     if estimate.shape != reference.shape:
-        return _fail(
-            f"shape mismatch: {estimate.shape} vs {reference.shape}"
-        )
+        raise ValueError(f"shape mismatch: {estimate.shape} vs {reference.shape}")
     values = {"relative_error": relative_error(estimate, reference)}
     if args.peak is not None:
         values["psnr"] = psnr(estimate, reference, peak=args.peak)
@@ -312,10 +310,16 @@ def _add_solver_flags(parser, with_iteration_flags):
         default=None,
         help="outlier weight (default 1/sqrt(max(m, n)))",
     )
-    parser.add_argument("--alpha", type=float, default=1e-2, help="core sparsity weight")
+    parser.add_argument(
+        "--alpha", type=float, default=SolverConfig.alpha, help="core sparsity weight"
+    )
     if with_iteration_flags:
-        parser.add_argument("--epsilon", type=float, default=1e-7, help="stopping tolerance")
-        parser.add_argument("--max-iter", type=int, default=1000, help="iteration cap")
+        parser.add_argument(
+            "--epsilon", type=float, default=SolverConfig.epsilon, help="stopping tolerance"
+        )
+        parser.add_argument(
+            "--max-iter", type=int, default=SolverConfig.max_iter, help="iteration cap"
+        )
 
 
 def build_parser():
@@ -382,13 +386,15 @@ def main(argv=None):
     try:
         return args.func(args)
     except FileNotFoundError as exc:
-        name = exc.filename if exc.filename else exc
-        return _fail(f"{name}: file not found")
+        error = f"{exc.filename if exc.filename else exc}: file not found"
     except ValueError as exc:
-        return _fail(exc)
+        error = exc
     except SolverError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1
+    # the one usage-error path: cmd_* functions raise ValueError
+    print(f"error: {error}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -77,9 +77,9 @@ def solve_stein(a, b, c):
     divide Xt_ij = Ct_ij / (1 - d_i g_j) in the rotated frame. This runs
     in O(r^3) time and O(r^2) space per right-hand side.
 
-    c may be a single r x r matrix or a stack of them with shape
-    (r, r, N); the result has the same shape, a stack in the canonical
-    layout of the tensor module. Raises
+    c may be a stack of r x r matrices with shape (r, r, N), the
+    canonical layout of the tensor module, or a single r x r matrix,
+    which is solved as a stack of one; the result has c's shape. Raises
     numpy.linalg.LinAlgError when some |1 - d_i g_j| falls below 1e-12
     (the equation is singular or near-singular).
     """
@@ -96,14 +96,11 @@ def solve_stein(a, b, c):
         raise np.linalg.LinAlgError(
             f"singular Stein equation: solvability margin {margin:.3e}"
         )
-    if c.ndim == 2:
-        ct = qa.T @ c @ qb
-        return qa @ (ct / denom) @ qb.T
     # stack of right-hand sides along the last axis: c.T holds the C_i.T,
     # so the rotated C_i.T are qb.T @ C_i.T @ qa, one batched matmul each way
-    ct = qb.T @ c.T @ qa
+    ct = qb.T @ np.atleast_3d(c).T @ qa
     ct /= denom.T
-    return (qb @ ct @ qa.T).T
+    return (qb @ ct @ qa.T).T.reshape(c.shape)
 
 
 def solve_gram_system(target, gram):
@@ -123,23 +120,26 @@ def solve_gram_system(target, gram):
 
 
 def thin_svd(x):
-    """Thin SVD with a deterministic sign convention.
+    """Thin SVD with a deterministic sign convention, of a matrix or a stack.
 
-    Returns (U, s, V) with x = U diag(s) V.T, s nonincreasing and
-    nonnegative, and U, V having orthonormal columns. Each column of U is
-    flipped so its largest-magnitude entry is nonnegative, with V's
+    x is one matrix or a stack of them with shape (..., m, n). Returns
+    (U, s, V) with x = U diag(s) V.T for each matrix, s nonincreasing
+    and nonnegative, and U, V having orthonormal columns. Each column of
+    U is flipped so its largest-magnitude entry is nonnegative, with V's
     column adjusted to match, making the factors unique for distinct
-    singular values.
+    singular values. A stack is factored by one np.linalg.svd call, and
+    each matrix's factors are bit-identical to factoring it alone.
     """
     if not np.isfinite(x).all():
         raise ValueError("cannot compute the SVD of a non-finite matrix")
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    v = vt.T
-    pivot = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[pivot, np.arange(u.shape[1])])
+    v = np.swapaxes(vt, -1, -2)
+    pivot = np.argmax(np.abs(u), axis=-2)[..., np.newaxis, :]
+    signs = np.sign(np.take_along_axis(u, pivot, axis=-2))
     signs[signs == 0] = 1.0
-    u = u * signs
-    v = v * signs
+    # in place: a stack's factors are as large as the stack itself
+    u *= signs
+    v *= signs
     return u, s, v
 
 

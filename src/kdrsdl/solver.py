@@ -150,39 +150,34 @@ class Factorization:
 
 
 def initialize(x, config):
-    """Build the starting state from per-slice SVDs.
+    """Build the starting state from the SVDs of the slices.
 
-    Each slice contributes its leading r left/right singular vectors to
-    running means for A and B, and its leading singular values to a
-    diagonal core slice. Columns belonging to exactly-zero singular
-    values are zeroed out. Initial step sizes are ETA * N divided by the
-    total slice norm of X (resp. of the core), capped at MU_CAP_FACTOR
-    times that.
+    One thin_svd call factors the whole stack. Each slice contributes its
+    leading r left/right singular vectors to the means A and B, and its
+    leading singular values to a diagonal core slice. Columns belonging
+    to exactly-zero singular values are zeroed out. Initial step sizes
+    are ETA * N divided by the total slice norm of X (resp. of the core),
+    capped at MU_CAP_FACTOR times that.
     """
-    m, n, num = x.shape
+    num = x.shape[2]
     r = config.r
-    a_sum = np.zeros((m, r))
-    b_sum = np.zeros((n, r))
+    u, s, v = thin_svd(x.transpose(2, 0, 1))
+    live = s[:, None, :r] != 0
+    # the sums run over the slices in order; the means are C-ordered like
+    # the bases a pass returns, since a basis's layout changes the
+    # rounding of the first pass
+    a = np.ascontiguousarray((u[..., :r] * live).sum(axis=0) / num)
+    b = np.ascontiguousarray((v[..., :r] * live).sum(axis=0) / num)
     core = np.zeros((r, r, num), order="F")
-    for i in range(num):
-        u, s, v = thin_svd(x[:, :, i])
-        u_r = u[:, :r].copy()
-        v_r = v[:, :r].copy()
-        s_r = s[:r].copy()
-        dead = s_r == 0.0
-        if dead.any():
-            u_r[:, dead] = 0.0
-            v_r[:, dead] = 0.0
-        a_sum += u_r
-        b_sum += v_r
-        core[:, :, i] = np.diag(s_r)
+    diag = np.arange(r)
+    core[diag, diag] = s[:, :r].T
     x_total = slice_norms(x).sum()
     core_total = slice_norms(core).sum()
     mu = ETA * num / x_total if x_total > 0 else ETA
     mu_k = ETA * num / core_total if core_total > 0 else ETA
     return SolverState(
-        a=a_sum / num,
-        b=b_sum / num,
+        a=a,
+        b=b,
         core=core,
         split=core.copy(),
         outliers=np.zeros_like(x),

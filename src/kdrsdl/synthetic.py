@@ -82,8 +82,6 @@ def generate(spec):
     return low_rank + outliers, truth
 
 
-def density(t, tol=0.0):
-    """Fraction of entries with magnitude above tol."""
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    return float(np.count_nonzero(np.abs(t) > tol)) / t.size
+def density(t):
+    """Fraction of entries with nonzero magnitude."""
+    return float(np.count_nonzero(np.abs(t) > 0)) / t.size

@@ -324,7 +324,7 @@ def test_denoise_restores_impulse_noise(tmp_path):
         assert (out / f"recovered_{i:03d}.pgm").is_file()
         assert f"image_{i:03d}_psnr" in metrics
     manifest = read_manifest(out / "manifest.json")
-    assert manifest["alpha"] == 1e-3
+    assert manifest["config.alpha"] == 1e-3
     assert manifest["seed"] == 0
     assert manifest["method"] == "kdrsdl"
 
@@ -415,16 +415,26 @@ def manifest_run_argv(command, tmp_path):
         write_video_fixture(frames, masks)
         return ["bgsub", "--frames", str(frames / "*.pgm"),
                 "--mask-frames", str(masks / "*.pgm"), "--r", "1"]
-    if command == "denoise":
+    if command.startswith("denoise"):
         images = tmp_path / "images"
         images.mkdir()
+        if command == "denoise-color":
+            # two sizes, so r and lam resolve differently for each stack
+            rng = np.random.default_rng(0)
+            for i, shape in enumerate([(12, 10, 3), (9, 14, 3)]):
+                write_image(images / f"img_{i}.ppm", rng.random(shape))
+            return ["denoise", "--images", str(images / "*.ppm"), "--noise-level", "0.2"]
         write_banded_images(images, count=3)
-        return ["denoise", "--images", str(images / "*.pgm"), "--noise-level", "0.3", "--r", "3"]
+        argv = ["denoise", "--images", str(images / "*.pgm"), "--noise-level", "0.3"]
+        return argv + (["--method", "rpca"] if command == "denoise-rpca" else ["--r", "3"])
     return ["eval", "--estimate", str(tmp_path / "x.kdt"),
             "--reference", str(tmp_path / "x.kdt"), "--peak", "1.0"]
 
 
-@pytest.mark.parametrize("command", ["synth", "decompose", "rpca", "bgsub", "denoise", "eval"])
+@pytest.mark.parametrize(
+    "command",
+    ["synth", "decompose", "rpca", "bgsub", "denoise", "denoise-rpca", "denoise-color", "eval"],
+)
 def test_manifest_records_every_flag_once(command, tmp_path):
     argv = manifest_run_argv(command, tmp_path) + ["--out-dir", str(tmp_path / "run")]
     assert run(*argv) == 0
@@ -432,19 +442,30 @@ def test_manifest_records_every_flag_once(command, tmp_path):
     flags = vars(build_parser().parse_args(argv))
     del flags["out_dir"], flags["func"]
     config_fields = {f.name for f in fields(SolverConfig)}
-    solved = command in ("synth", "decompose", "bgsub")
-    assert manifest["command"] == command
+    solved = command in ("synth", "decompose", "bgsub", "denoise", "denoise-color")
+    assert manifest["command"] == argv[0]
     assert "out_dir" not in manifest
-    # the values the command resolves from its flags
+
+    def images(pattern):
+        return ";".join(sorted(map(str, (tmp_path / "images").glob(pattern))))
+
+    # the values the command resolves from its flags and solves with; a
+    # value that differs between stacks is each stack's value joined by ";"
     resolved = {
+        "synth": {"prng": "pcg64"},
         "rpca": {"lam": 1.0 / np.sqrt(14)},
         "bgsub": {
             "frames": ";".join(sorted(map(str, (tmp_path / "frames").glob("*.pgm")))),
             "mask_frames": ";".join(sorted(map(str, (tmp_path / "masks").glob("*.pgm")))),
         },
-        "denoise": {
-            "images": ";".join(sorted(map(str, (tmp_path / "images").glob("*.pgm")))),
-            "alpha": 1e-3,
+        "denoise": {"images": images("*.pgm"), "config.alpha": 1e-3, "config.r": 3,
+                    "config.lam": 1.0 / np.sqrt(20)},
+        "denoise-rpca": {"images": images("*.pgm"), "lam": 1.0 / np.sqrt(20)},
+        "denoise-color": {
+            "images": images("*.ppm"),
+            "config.alpha": 1e-3,
+            "config.r": "10;9",
+            "config.lam": f"{1.0 / np.sqrt(12)};{1.0 / np.sqrt(14)}",
         },
     }.get(command, {})
     for name, value in resolved.items():
@@ -459,3 +480,7 @@ def test_manifest_records_every_flag_once(command, tmp_path):
             assert manifest[dest] == resolved.get(dest, value), dest
     recorded = {k[len("config."):] for k in manifest if k.startswith("config.")}
     assert recorded == (config_fields if solved else set())
+    # and nothing else: no parameter the run did not use
+    bundle = {"converged", "iterations"} if command in ("synth", "decompose") else set()
+    config_keys = {f"config.{name}" for name in config_fields}
+    assert set(manifest) <= set(flags) | set(resolved) | config_keys | bundle

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kdrsdl import shrink, solve_gram_system, solve_stein, symmetric_eig, thin_svd
 
@@ -205,6 +207,35 @@ def test_thin_svd_rejects_non_finite():
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
         thin_svd(bad)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num=st.integers(1, 5),
+    m=st.integers(1, 7),
+    n=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["full", "zero", "rank_one"]), min_size=5, max_size=5),
+)
+@example(num=1, m=1, n=1, seed=0, kinds=["full"] * 5)
+@example(num=3, m=2, n=5, seed=1, kinds=["zero", "full", "rank_one", "full", "full"])
+@example(num=3, m=6, n=3, seed=2, kinds=["rank_one", "zero", "full", "full", "full"])
+def test_thin_svd_of_a_stack_is_each_matrix_bit_for_bit(num, m, n, seed, kinds):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((num, m, n))
+    for i, kind in enumerate(kinds[:num]):
+        if kind == "zero":
+            x[i] = 0.0
+        elif kind == "rank_one":
+            x[i] = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+    u, s, v = thin_svd(x)
+    k = min(m, n)
+    assert u.shape == (num, m, k) and s.shape == (num, k) and v.shape == (num, n, k)
+    for i in range(num):
+        ui, si, vi = thin_svd(x[i])
+        assert u[i].tobytes() == ui.tobytes()
+        assert s[i].tobytes() == si.tobytes()
+        assert v[i].tobytes() == vi.tobytes()
 
 
 def test_symmetric_eig_identity():

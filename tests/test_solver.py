@@ -20,6 +20,7 @@ from kdrsdl import (
     relative_error,
     rpca_slices,
     solve,
+    thin_svd,
 )
 from kdrsdl import linalg, rpca, solver  # modules, for monkeypatching
 from kdrsdl.linalg import _one_blas_thread, _openblas_controls, shrink
@@ -105,6 +106,48 @@ def test_initialize_starts_split_equal_to_core():
     x = rng.standard_normal((6, 5, 3))
     state = initialize(x, SolverConfig(r=2).resolved(6, 5))
     np.testing.assert_array_equal(state.core, state.split)
+
+
+def initialize_slice_by_slice(x, config):
+    """Reference start: one thin_svd per slice, dead columns zeroed, running sums."""
+    m, n, num = x.shape
+    r = config.r
+    a_sum = np.zeros((m, r))
+    b_sum = np.zeros((n, r))
+    core = np.zeros((r, r, num), order="F")
+    for i in range(num):
+        u, s, v = thin_svd(x[:, :, i])
+        u_r = u[:, :r].copy()
+        v_r = v[:, :r].copy()
+        s_r = s[:r].copy()
+        dead = s_r == 0.0
+        u_r[:, dead] = 0.0
+        v_r[:, dead] = 0.0
+        a_sum += u_r
+        b_sum += v_r
+        core[:, :, i] = np.diag(s_r)
+    return a_sum / num, b_sum / num, core
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize(
+    "m, n, num, r",
+    [(8, 6, 5, 3), (6, 8, 4, 6), (7, 7, 3, 7), (1, 5, 3, 1), (5, 4, 1, 4)],
+)
+def test_initialize_matches_slice_by_slice_reference(m, n, num, r, order):
+    rng = np.random.default_rng(m * 100 + n * 10 + num)
+    x = rng.standard_normal((m, n, num))
+    x[:, :, 0] = 0.0                                     # a zero slice
+    if num > 2:
+        x[:, :, 1] = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+    x = np.asarray(x, order=order)
+    state = initialize(x, SolverConfig(r=r).resolved(m, n))
+    a, b, core = initialize_slice_by_slice(x, SolverConfig(r=r).resolved(m, n))
+    assert state.a.tobytes() == a.tobytes()
+    assert state.b.tobytes() == b.tobytes()
+    assert state.core.tobytes() == core.tobytes()
+    assert state.a.flags.c_contiguous and state.b.flags.c_contiguous
+    assert state.core.flags.f_contiguous
 
 
 def test_iterate_fixed_point_of_consistent_state():
@@ -385,6 +428,30 @@ def test_pass_counts_pinned(seed, passes):
     fac = solve(x, SolverConfig(r=10))
     assert fac.converged
     assert fac.iterations == passes
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SyntheticSpec(m=30, n=25, num_slices=8, rank_a=3, rank_b=3, r=6, p=0.7, seed=0),
+        SyntheticSpec(m=20, n=24, num_slices=10, rank_a=2, rank_b=3, r=5, p=0.8, seed=1),
+        SyntheticSpec(m=50, n=50, num_slices=20, rank_a=5, rank_b=5, r=10, p=0.7, seed=2),
+    ],
+)
+def test_permuting_slices_permutes_the_result(spec):
+    """Slice order is arbitrary: it may change the rounding, not the answer."""
+    x, _ = generate(spec)
+    perm = np.random.default_rng(spec.seed).permutation(spec.num_slices)
+    fac = solve(x, SolverConfig(r=spec.r))
+    permuted = solve(x[:, :, perm], SolverConfig(r=spec.r))
+    assert permuted.iterations == fac.iterations
+    for got, expected in [
+        (permuted.a, fac.a),
+        (permuted.b, fac.b),
+        (permuted.core, fac.core[:, :, perm]),
+        (permuted.outliers, fac.outliers[:, :, perm]),
+    ]:
+        assert np.linalg.norm(got - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 # The solve pins every bundled OpenBLAS to one thread and restores the
