@@ -12,6 +12,7 @@ column, then slice).
 
 import json
 import os
+import re
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -114,41 +115,14 @@ def read_tensor(path):
     return t
 
 
-def _read_pnm_header(fh, path):
-    # Netpbm headers are magic, width, height, maxval as ASCII tokens
-    # separated by whitespace; '#' starts a comment running to end of line.
-    magic = fh.read(2)
-    if magic not in (b"P5", b"P6"):
-        raise BadMagicError(f"{path}: unsupported image magic {magic!r}")
-    tokens = []
-    while len(tokens) < 3:
-        ch = fh.read(1)
-        if ch == b"":
-            raise TruncatedFileError(f"{path}: incomplete image header")
-        if ch == b"#":
-            while ch not in (b"", b"\n"):
-                ch = fh.read(1)
-            continue
-        if ch.isspace():
-            continue
-        token = ch
-        while True:
-            ch = fh.read(1)
-            if ch == b"" or ch.isspace() or ch == b"#":
-                break
-            token += ch
-        if ch == b"#":
-            while ch not in (b"", b"\n"):
-                ch = fh.read(1)
-        if not token.isdigit():
-            raise StorageError(f"{path}: malformed header token {token!r}")
-        tokens.append(int(token))
-    width, height, maxval = tokens
-    if maxval != 255:
-        raise StorageError(f"{path}: unsupported maxval {maxval}, expected 255")
-    if width == 0 or height == 0:
-        raise StorageError(f"{path}: empty image {width}x{height}")
-    return magic, width, height
+# A Netpbm header: magic, then width, height and maxval as ASCII tokens,
+# separated by gaps (_) of whitespace bytes and '#' comments to end of line;
+# one gap ends maxval. A token the file ends before matches as None.
+_PNM_HEADER = re.compile(
+    rb"(P[56])?(?:_*([^\s#]+))?(?:_+([^\s#]+))?(?:_+([^\s#]+)_?)?".replace(
+        b"_", rb"(?:\s|#[^\n]*(?:\n|\Z))"
+    )
+)
 
 
 def read_image(path):
@@ -157,21 +131,30 @@ def read_image(path):
     A PGM (P5) yields an (h, w) matrix. A PPM (P6) yields an (h, w, 3)
     tensor whose frontal slices are the red, green, and blue channels.
     """
-    with open(path, "rb") as fh:
-        magic, width, height = _read_pnm_header(fh, path)
-        channels = 1 if magic == b"P5" else 3
-        payload = fh.read()
+    data = Path(path).read_bytes()
+    header = _PNM_HEADER.match(data)
+    magic, *tokens = header.groups()
+    if magic is None:
+        raise BadMagicError(f"{path}: unsupported image magic {data[:2]!r}")
+    for token in tokens:
+        if token is None:
+            raise TruncatedFileError(f"{path}: incomplete image header")
+        if not token.isdigit():
+            raise StorageError(f"{path}: malformed header token {token!r}")
+    width, height, maxval = map(int, tokens)
+    if maxval != 255:
+        raise StorageError(f"{path}: unsupported maxval {maxval}, expected 255")
+    if width == 0 or height == 0:
+        raise StorageError(f"{path}: empty image {width}x{height}")
+    channels = 1 if magic == b"P5" else 3
     count = width * height * channels
-    if len(payload) < count:
-        raise TruncatedFileError(
-            f"{path}: {len(payload)} pixel bytes, expected {count}"
-        )
-    raw = np.frombuffer(payload[:count], dtype=np.uint8)
-    if channels == 1:
-        return raw.reshape((height, width)).astype(np.float64) / 255.0
-    planes = raw.reshape((height, width, 3)).astype(np.float64) / 255.0
+    size = len(data) - header.end()
+    if size < count:
+        raise TruncatedFileError(f"{path}: {size} pixel bytes, expected {count}")
+    raw = np.frombuffer(data, dtype=np.uint8, count=count, offset=header.end())
     # interleaved RGB -> one channel per frontal slice
-    return np.ascontiguousarray(planes)
+    shape = (height, width) if channels == 1 else (height, width, 3)
+    return raw.reshape(shape).astype(np.float64) / 255.0
 
 
 def read_image_stack(paths):

@@ -38,7 +38,8 @@ def rpca_ialm(x, lam=None, epsilon=1e-7, max_iter=1000):
     Alternates singular-value thresholding of the low-rank part,
     shrinkage of the sparse part, and a dual ascent step with growing
     step size, until ||X - A - E||_F / ||X||_F falls below epsilon.
-    lam defaults to 1/sqrt(max(m, n)).
+    lam defaults to 1/sqrt(max(m, n)). An x whose Frobenius norm
+    overflows float64 raises ValueError.
 
     Step-size schedule: mu starts at 1.25 / sigma_1(X), grows by 1.5
     each pass, and is capped at 1e7 times its initial value.
@@ -49,7 +50,10 @@ def rpca_ialm(x, lam=None, epsilon=1e-7, max_iter=1000):
     m, n = x.shape
     if lam is None:
         lam = default_lam(m, n)
-    x_norm = np.linalg.norm(x)
+    with np.errstate(over="ignore"):
+        x_norm = np.linalg.norm(x)
+    if np.isinf(x_norm):
+        raise ValueError("the Frobenius norm of the input overflows float64; rescale the data")
     if x_norm == 0:
         return RpcaResult(np.zeros_like(x), np.zeros_like(x), 0, True)
     mu = 1.25 / np.linalg.norm(x, 2)

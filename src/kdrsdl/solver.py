@@ -22,11 +22,11 @@ W_i.T @ A that both the B target and the split update reuse. The dual
 step's D = X - a K b.T is carried into the next pass, whose E and W both
 come from v = mu D + Lambda with no rebuild.
 
-iterate runs in place: it overwrites E and Lambda, and every data-sized
-intermediate lives in two scratch buffers kept on the state from pass to
-pass. A solve therefore holds at most five data-sized arrays, X included
-(X, E, Lambda and the two buffers), and no pass after the first
-allocates one.
+iterate advances one SolverState in place: it overwrites E and Lambda,
+and every data-sized intermediate lives in two scratch buffers kept on
+the state from pass to pass. A solve therefore holds one state and at
+most five data-sized arrays (X, E, Lambda and the two buffers), and no
+pass after the first allocates one.
 """
 
 import warnings
@@ -77,6 +77,8 @@ class SolverConfig:
 
     def resolved(self, m, n):
         """Fill the data-dependent defaults for m x n slices and validate."""
+        if min(m, n) < 1:
+            raise ValueError(f"slices must be at least 1 x 1, got {m} x {n}")
         r = min(m, n) if self.r is None else self.r
         lam = default_lam(m, n) if self.lam is None else self.lam
         cfg = replace(self, r=r, lam=lam)
@@ -107,10 +109,10 @@ class _Scratch:
 class SolverState:
     """All iterates of one run: factors, duals, step sizes, pass count.
 
-    scratch holds the buffers iterate reuses from pass to pass. It is not
-    an argument of the constructor, and dataclasses.replace drops it, so a
-    rebuilt state allocates fresh buffers on its next pass and never sees
-    a stale D.
+    iterate advances a state in place, reusing the buffers in scratch from
+    pass to pass. scratch is not an argument of the constructor, and
+    dataclasses.replace drops it, so a rebuilt state allocates fresh
+    buffers on its next pass and never sees a stale D.
     """
 
     a: np.ndarray            # m x r basis
@@ -255,25 +257,25 @@ def _update_core(split, dual_split, mu_k, alpha):
 
 
 def iterate(state, x, config):
-    """Run one full pass and return the advanced state.
+    """Run one full pass that advances state in place, and return state.
 
-    The pass runs in place: E and Lambda are overwritten in
-    state.outliers and state.dual_rec, which the returned state shares,
-    so the state passed in is consumed and must not be iterated again.
-    Its two scratch buffers move to the returned state, allocated on the
-    first pass, and carry D = X - a K b.T to the next pass, which must be
-    given the same x.
+    The pass assigns every iterate and the pass count on state, and
+    overwrites E and Lambda in their arrays; dual_split gets a new array,
+    as states made with replace share it. The scratch buffers stay on
+    state and carry D = X - a K b.T to the next pass, which must be given
+    the same x.
 
     E and W = mu (X - E) + Lambda are computed together from D and
     Lambda, and the projection W_i.T @ A feeds both the B update and the
     split update. Numerical failures in the basis or split updates are
-    re-raised as SolverError carrying the pass number.
+    re-raised as SolverError carrying the pass number, and drop the
+    scratch, whose D the pass has overwritten with W.
     """
-    work, state.scratch = state.scratch, None
+    work = state.scratch
     if work is None or work.x is not x:
         d = reconstruct(state.split, state.a, state.b, out=np.empty(x.shape, order="F"))
         np.subtract(x, d, out=d)
-        work = _Scratch(x, d, np.empty_like(d))
+        work = state.scratch = _Scratch(x, d, np.empty_like(d))
     mu, mu_k = state.mu, state.mu_k
     try:
         e, w = _outliers_and_data(
@@ -285,6 +287,7 @@ def iterate(state, x, config):
         k = _split(wa, a, b, state.core, state.dual_split, mu, mu_k)
         core = _update_core(k, state.dual_split, mu_k, config.alpha)
     except np.linalg.LinAlgError as exc:
+        state.scratch = None
         raise SolverError(
             f"iteration {state.iteration + 1}: {exc}", state.iteration + 1, None
         ) from exc
@@ -295,22 +298,11 @@ def iterate(state, x, config):
     w *= mu
     state.dual_rec += w
     work.d, work.free = d, w
-    advanced = SolverState(
-        a=a,
-        b=b,
-        core=core,
-        split=k,
-        outliers=e,
-        dual_rec=state.dual_rec,
-        dual_split=state.dual_split + mu_k * (core - k),
-        mu=min(state.mu_cap, RHO * mu),
-        mu_k=min(state.mu_k_cap, RHO * mu_k),
-        mu_cap=state.mu_cap,
-        mu_k_cap=state.mu_k_cap,
-        iteration=state.iteration + 1,
-    )
-    advanced.scratch = work
-    return advanced
+    state.a, state.b, state.core, state.split = a, b, core, k
+    state.dual_split = state.dual_split + mu_k * (core - k)
+    state.mu, state.mu_k = min(state.mu_cap, RHO * mu), min(state.mu_k_cap, RHO * mu_k)
+    state.iteration += 1
+    return state
 
 
 def errors_of(state, x, *, x_sq=None, scratch=None):
@@ -378,9 +370,9 @@ def solve(x, config=None):
     attached. An x whose squared slice norms overflow float64 raises
     SolverError at iteration 1, before any pass.
 
-    Each pass is one call of iterate, which advances the state in place,
-    and one errors_of check, which reuses the state's scratch. A pass
-    makes two low-rank rebuilds and, after the first, allocates no
+    Each pass is one call of iterate, which advances the solve's one
+    state in place, and one errors_of check, which reuses its scratch. A
+    pass makes two low-rank rebuilds and, after the first, allocates no
     data-sized array; the solve holds at most five, x included.
 
     The whole solve runs with numpy's bundled OpenBLAS library at one
@@ -405,26 +397,22 @@ def solve(x, config=None):
         state = initialize(x, cfg)
         trace = np.zeros((cfg.max_iter, 4))
         converged = False
-        done = 0
-        for t in range(cfg.max_iter):
+        while not converged and state.iteration < cfg.max_iter:
             mu, mu_k = state.mu, state.mu_k
             try:
-                state = iterate(state, x, cfg)
+                iterate(state, x, cfg)
             except SolverError as exc:
-                exc.trace = trace[:done].copy()
+                exc.trace = trace[: state.iteration].copy()
                 raise
-            err_rec, err_split = errors_of(state, x, x_sq=x_sq, scratch=state.scratch)
-            trace[t] = (err_rec, err_split, mu, mu_k)
-            done = t + 1
-            if max(err_rec, err_split) <= cfg.epsilon:
-                converged = True
-                break
+            errors = errors_of(state, x, x_sq=x_sq, scratch=state.scratch)
+            trace[state.iteration - 1] = (*errors, mu, mu_k)
+            converged = max(errors) <= cfg.epsilon
         return Factorization(
             a=state.a,
             b=state.b,
             core=state.core,
             outliers=state.outliers,
-            trace=trace[:done].copy(),
+            trace=trace[: state.iteration].copy(),
             converged=converged,
-            iterations=done,
+            iterations=state.iteration,
         )

@@ -117,6 +117,16 @@ def test_synth_rejects_bad_probability(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", [("--m", 0), ("--n", 0), ("--m", -3), ("--n", -1)])
+def test_synth_rejects_empty_slices(size, tmp_path, capsys):
+    # the error names the slice dimensions, not the core size they bound
+    rc = run("synth", *size, "--out-dir", tmp_path / "run")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: slices must be at least 1 x 1" in err
+    assert "r=" not in err
+
+
 def test_decompose_zero_tensor(tmp_path):
     src = tmp_path / "x.kdt"
     write_tensor(src, np.zeros((5, 4, 2)))
@@ -167,6 +177,15 @@ def test_decompose_numerical_failure_exits_1(tmp_path, capsys):
     rc = run("decompose", "--input", src, "--r", 3, "--out-dir", tmp_path / "o")
     assert rc == 1
     assert "solver failed: iteration 1:" in capsys.readouterr().err
+
+
+def test_rpca_overflowing_input_is_a_usage_error(tmp_path, capsys):
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=2, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    src = tmp_path / "x.kdt"
+    write_tensor(src, x * 1e200)
+    rc = run("rpca", "--input", src, "--max-iter", 50, "--out-dir", tmp_path / "o")
+    assert rc == 2
+    assert "error: the Frobenius norm of the input overflows" in capsys.readouterr().err
 
 
 NO_SCIPY_SCRIPT = """
@@ -296,6 +315,51 @@ def test_bgsub_single_class_masks(tmp_path, capsys):
     assert "single class" in capsys.readouterr().err
 
 
+def reshape_masks(masks):
+    for path in masks.glob("*.pgm"):
+        write_image(path, np.zeros((24, 30)))
+
+
+def split_classes_by_frame(masks):
+    # both classes in the stack, but never in one frame
+    for i, path in enumerate(sorted(masks.glob("*.pgm"))):
+        write_image(path, np.full((24, 32), float(i % 2)))
+
+
+@pytest.mark.parametrize(
+    "edit, frames_glob, message",
+    [
+        (None, "absent_*.pgm", "no frames match"),
+        (reshape_masks, "*.pgm", "mask stack is"),
+        (split_classes_by_frame, "*.pgm", "no frame has both"),
+    ],
+)
+def test_bgsub_usage_errors(tmp_path, capsys, edit, frames_glob, message):
+    frames, masks = tmp_path / "frames", tmp_path / "masks"
+    frames.mkdir(), masks.mkdir()
+    write_video_fixture(frames, masks)
+    if edit is not None:
+        edit(masks)
+    rc = run("bgsub", "--frames", frames / frames_glob, "--mask-frames", masks / "*.pgm",
+             "--r", 1, "--out-dir", tmp_path / "o")
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bgsub_skips_single_class_frames_in_the_per_frame_auc(tmp_path):
+    frames, masks = tmp_path / "frames", tmp_path / "masks"
+    frames.mkdir(), masks.mkdir()
+    write_video_fixture(frames, masks)
+    write_image(sorted(masks.glob("*.pgm"))[3], np.zeros((24, 32)))
+    out = tmp_path / "run"
+    rc = run("bgsub", "--frames", frames / "*.pgm", "--mask-frames", masks / "*.pgm",
+             "--r", 1, "--out-dir", out)
+    assert rc == 0
+    metrics = read_metrics(out / "metrics.csv")
+    assert metrics["frames"] == 8.0
+    assert metrics["scored_frames"] == 7.0
+
+
 def test_denoise_clean_images_pass_through(tmp_path):
     images = tmp_path / "images"
     images.mkdir()
@@ -388,6 +452,21 @@ def test_denoise_rejects_mixed_image_types(tmp_path, capsys):
              "--out-dir", tmp_path / "o")
     assert rc == 2
     assert "mix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pattern, message",
+    [("absent_*.pgm", "no images match"), ("*.pgm", "grayscale images must share dimensions")],
+)
+def test_denoise_usage_errors(tmp_path, capsys, pattern, message):
+    images = tmp_path / "images"
+    images.mkdir()
+    write_image(images / "a.pgm", np.zeros((4, 4)))
+    write_image(images / "b.pgm", np.zeros((4, 5)))
+    rc = run("denoise", "--images", images / pattern, "--noise-level", 0.1,
+             "--out-dir", tmp_path / "o")
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_no_command_is_usage_error(capsys):

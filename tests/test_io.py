@@ -17,6 +17,7 @@ from kdrsdl import (
     write_tensor,
 )
 from kdrsdl.io import (
+    KDT_HEADER,
     BadMagicError,
     NonFiniteValueError,
     StorageError,
@@ -79,6 +80,14 @@ def test_tensor_truncated_header(tmp_path):
     path.write_bytes(b"KDT1\x02\x00")
     with pytest.raises(TruncatedFileError):
         read_tensor(path)
+
+
+def test_tensor_rejects_empty_header(tmp_path):
+    path = tmp_path / "t.kdt"
+    path.write_bytes(KDT_HEADER.pack(b"KDT1", 0, 3, 2))
+    with pytest.raises(StorageError, match="empty tensor") as info:
+        read_tensor(path)
+    assert type(info.value) is StorageError
 
 
 def test_tensor_rejects_non_finite_on_write(tmp_path):
@@ -146,10 +155,12 @@ def test_ppm_channels_become_slices(tmp_path):
 def test_image_header_tolerates_comments(tmp_path):
     path = tmp_path / "i.pgm"
     body = bytes(range(12))
-    path.write_bytes(b"P5\n# a comment\n4   3 # trailing\n255\n" + body)
-    image = read_image(path)
-    assert image.shape == (3, 4)
-    np.testing.assert_array_equal(image, np.arange(12).reshape(3, 4) / 255.0)
+    # a comment may also follow a token directly, and end the header
+    for header in (b"P5\n# a comment\n4   3 # trailing\n255\n", b"P5 4 3#c\n255#\n"):
+        path.write_bytes(header + body)
+        image = read_image(path)
+        assert image.shape == (3, 4)
+        np.testing.assert_array_equal(image, np.arange(12).reshape(3, 4) / 255.0)
 
 
 def test_image_rejects_other_maxval(tmp_path):
@@ -166,6 +177,27 @@ def test_image_rejects_unknown_magic(tmp_path):
         read_image(path)
 
 
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (b"P", BadMagicError),
+        (b"P5", TruncatedFileError),
+        (b"P5\n4 3", TruncatedFileError),
+        (b"P5\n4 3\n# comment to the end", TruncatedFileError),
+        (b"P5\n4 x3\n255\n" + bytes(12), StorageError),
+        (b"P5\n-4 3\n255\n" + bytes(12), StorageError),
+        (b"P5\n0 3\n255\n", StorageError),
+        (b"P5\n4 0\n255\n", StorageError),
+    ],
+)
+def test_image_rejects_malformed_header(tmp_path, data, error):
+    path = tmp_path / "i.pgm"
+    path.write_bytes(data)
+    with pytest.raises(StorageError) as info:
+        read_image(path)
+    assert type(info.value) is error
+
+
 def test_image_truncated_pixels(tmp_path):
     path = tmp_path / "i.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
@@ -179,12 +211,38 @@ def test_write_image_clamps_and_rounds(tmp_path):
     assert path.read_bytes()[-3:] == bytes([0, 128, 255])
 
 
+@pytest.mark.parametrize(
+    "image, error",
+    [
+        (np.array([[0.5, np.nan]]), NonFiniteValueError),
+        (np.zeros((2, 3, 2)), ValueError),
+        (np.zeros(4), ValueError),
+    ],
+)
+def test_write_image_rejects_bad_pixels(tmp_path, image, error):
+    path = tmp_path / "i.pgm"
+    with pytest.raises(ValueError) as info:
+        write_image(path, image)
+    assert type(info.value) is error
+    assert not path.exists()
+
+
 def test_image_stack_shapes_must_match(tmp_path):
     a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
     write_image(a, np.zeros((4, 4)))
     write_image(b, np.zeros((4, 5)))
     with pytest.raises(StorageError):
         read_image_stack([a, b])
+
+
+def test_image_stack_rejects_no_paths_and_color_frames(tmp_path):
+    with pytest.raises(ValueError, match="no image paths"):
+        read_image_stack([])
+    gray, color = tmp_path / "a.pgm", tmp_path / "b.ppm"
+    write_image(gray, np.zeros((4, 4)))
+    write_image(color, np.zeros((4, 4, 3)))
+    with pytest.raises(StorageError, match="grayscale"):
+        read_image_stack([gray, color])
 
 
 def test_image_stack_builds_slices(tmp_path):
@@ -227,6 +285,24 @@ def test_metrics_floats_reparse_exactly(tmp_path):
     back = read_metrics(path)
     for name, value in values.items():
         assert back[name] == value
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_trace, ""),
+        (read_trace, "iter,err_rec,err_split,mu\n"),
+        (read_trace, "iter,err_rec,err_split,mu,mu_K\n1,0.5,0.25,1.0\n"),
+        (read_metrics, ""),
+        (read_metrics, "name,value\n"),
+    ],
+)
+def test_tables_reject_bad_header_or_row(tmp_path, reader, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(StorageError) as info:
+        reader(path)
+    assert type(info.value) is StorageError
 
 
 @pytest.fixture(scope="module")

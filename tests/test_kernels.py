@@ -131,10 +131,11 @@ def test_fused_pass_updates_match_reference_formulas(m, n, r, num, seed, mu, mu_
         dual_split=draw(rng, (r, r, num), "F"), mu=mu, mu_k=mu_k,
         mu_cap=1e3, mu_k_cap=1e3,
     )
+    outliers, dual_rec_buffer = state.outliers, state.dual_rec
     after = iterate(state, x, cfg)
-    assert state.scratch is None and after.scratch is not None
-    assert after.outliers is state.outliers
-    assert after.dual_rec is state.dual_rec
+    assert after is state and after.scratch is not None
+    assert after.outliers is outliers
+    assert after.dual_rec is dual_rec_buffer
     assert_close(after.outliers, e_ref, x - low_rank, dual_rec / mu)
     low_rank = np.einsum("ia,abk,jb->ijk", after.a, after.split, after.b)
     assert_close(

@@ -126,6 +126,19 @@ def test_solve_stein_rejects_asymmetric_factor():
         solve_stein(bad, np.eye(2), np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        (np.eye(2), np.eye(3), np.zeros((2, 2))),
+        (np.eye(2), np.eye(2), np.zeros((3, 2, 4))),
+        (np.ones((2, 3)), np.eye(2), np.zeros((2, 2))),
+    ],
+)
+def test_solve_stein_rejects_shape_mismatch(a, b, c):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve_stein(a, b, c)
+
+
 def test_solve_gram_system_identity_divisor():
     rng = np.random.default_rng(5)
     target = rng.standard_normal((3, 4))

@@ -170,3 +170,8 @@ def test_psnr_decreases_with_noise():
 def test_psnr_rejects_bad_peak():
     with pytest.raises(ValueError):
         psnr(np.ones((2, 2)), np.zeros((2, 2)), 0.0)
+
+
+def test_psnr_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        psnr(np.ones((2, 2)), np.ones((2, 3)), 1.0)

@@ -1,5 +1,7 @@
 """Matrix robust PCA baseline, its slice-wise form, and singular value thresholding."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,16 @@ def test_rpca_rejects_non_finite():
     x[1, 1] = np.nan
     with pytest.raises(ValueError):
         rpca_ialm(x)
+
+
+def test_rpca_names_an_overflowing_norm_without_numpy_warnings():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((12, 10, 2)) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for split, data in ((rpca_ialm, x[:, :, 0]), (rpca_slices, x)):
+            with pytest.raises(ValueError, match="norm of the input overflows"):
+                split(data, max_iter=50)
 
 
 def test_rpca_residual_meets_tolerance_at_convergence():

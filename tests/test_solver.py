@@ -60,6 +60,15 @@ def test_config_rejects_bad_values():
         SolverConfig(lam=-0.1).resolved(50, 40)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0).resolved(50, 40)
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverConfig(max_iter=0).resolved(50, 40)
+
+
+@pytest.mark.parametrize("m, n", [(0, 40), (50, 0), (-1, 3)])
+def test_config_names_empty_slices_before_the_core_size(m, n):
+    for config in (SolverConfig(), SolverConfig(r=1)):
+        with pytest.raises(ValueError, match=f"slices must be at least 1 x 1, got {m} x {n}"):
+            config.resolved(m, n)
 
 
 def test_initialize_dual_step_formula():
@@ -235,6 +244,65 @@ def test_carried_difference_matches_a_fresh_rebuild():
         assert state_bits(carried) == state_bits(fresh)
 
 
+def test_iterate_advances_one_state_in_place(monkeypatch):
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    cfg = SolverConfig(r=3).resolved(12, 10)
+    state = initialize(x, cfg)
+    monkeypatch.setattr(solver, "SolverState", None)  # a pass builds no state
+    after = iterate(state, x, cfg)
+    scratch = state.scratch
+    assert after is state and state.iteration == 1 and scratch is not None
+    for t in (2, 3):
+        assert iterate(state, x, cfg) is state
+        assert state.iteration == t and state.scratch is scratch
+
+
+def test_failed_pass_drops_the_scratch(monkeypatch):
+    """A failed pass leaves W in the scratch's D, so it must not be carried.
+
+    Once the scratch is dropped the next pass rebuilds D, and the state
+    goes on exactly as one that never failed.
+    """
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    cfg = SolverConfig(r=3).resolved(12, 10)
+    state, reference = initialize(x, cfg), initialize(x, cfg)
+    for _ in range(2):
+        iterate(state, x, cfg)
+        iterate(reference, x, cfg)
+
+    def failing_stein(*args):
+        raise np.linalg.LinAlgError("numerical failure")
+
+    monkeypatch.setattr(solver, "solve_stein", failing_stein)
+    with pytest.raises(solver.SolverError) as info:
+        iterate(state, x, cfg)
+    assert info.value.iteration == 3
+    assert state.scratch is None
+    assert state.iteration == 2
+    monkeypatch.undo()
+    iterate(state, x, cfg)
+    iterate(reference, x, cfg)
+    assert state_bits(state) == state_bits(reference)
+
+
+def test_solver_error_trace_holds_the_passes_before_the_failure(monkeypatch):
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    full = solve(x, SolverConfig(r=3))
+    stein, calls = solver.solve_stein, []
+
+    def stein_failing_at_pass_3(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("numerical failure")
+        return stein(*args)
+
+    monkeypatch.setattr(solver, "solve_stein", stein_failing_at_pass_3)
+    with pytest.raises(solver.SolverError) as info:
+        solve(x, SolverConfig(r=3))
+    assert info.value.iteration == 3
+    assert info.value.trace.tobytes() == full.trace[:2].tobytes()
+
+
 def test_warm_pass_allocates_no_data_sized_array():
     spec = SyntheticSpec(m=40, n=40, num_slices=10, rank_a=2, rank_b=2, r=2, p=0.7, seed=0)
     x, _ = generate(spec)
@@ -256,8 +324,9 @@ def test_iterate_core_is_shrunk_split():
     x = rng.standard_normal((8, 7, 2))
     cfg = SolverConfig(r=3).resolved(8, 7)
     state = initialize(x, cfg)
+    dual_split, mu_k = state.dual_split, state.mu_k
     after = iterate(state, x, cfg)
-    expected = shrink(after.split - state.dual_split / state.mu_k, cfg.alpha / state.mu_k)
+    expected = shrink(after.split - dual_split / mu_k, cfg.alpha / mu_k)
     np.testing.assert_allclose(after.core, expected, atol=1e-12)
 
 
