@@ -219,6 +219,13 @@ def write_trace(path, trace):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_float(path, text, line):
+    try:
+        return float(text)
+    except ValueError:
+        raise StorageError(f"{path}: malformed row {line!r}") from None
+
+
 def read_trace(path):
     """Read a trace.csv back into a (k, 4) float array (iter implicit)."""
     lines = Path(path).read_text().splitlines()
@@ -229,7 +236,7 @@ def read_trace(path):
         fields = line.split(",")
         if len(fields) != len(TRACE_COLUMNS):
             raise StorageError(f"{path}: malformed trace row {line!r}")
-        rows.append([float(v) for v in fields[1:]])
+        rows.append([_parse_float(path, v, line) for v in fields[1:]])
     return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
 
 
@@ -252,7 +259,7 @@ def read_metrics(path):
     values = {}
     for line in lines[1:]:
         name, _, value = line.partition(",")
-        values[name] = float(value)
+        values[name] = _parse_float(path, value, line)
     return values
 
 

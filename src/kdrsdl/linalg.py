@@ -9,10 +9,10 @@ rather than silently mishandled.
 
 The module also owns the BLAS thread pin that the solver and the
 slice-wise RPCA baseline run under: the solver's products are r-skinny
-and its Gram and Stein systems r x r, and the baseline's SVDs are
-slice-sized, which OpenBLAS runs slower, and with different bits, when
-it splits them across threads. The pin manages the OpenBLAS library
-bundled with numpy.
+and its Gram and Stein systems r x r, and the baseline's Gram products
+and eigendecompositions are slice-sized, which OpenBLAS runs slower,
+and with different bits, when it splits them across threads. The pin
+manages the OpenBLAS library bundled with numpy.
 """
 
 import ctypes

@@ -8,7 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _one_blas_thread, shrink, thin_svd
+from .linalg import _one_blas_thread, shrink
+
+
+# the smallest Frobenius norm whose square is a normal float64: below it the
+# norms of x and of the residual lose precision, and the stopping rule with them
+_NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -22,9 +27,29 @@ class RpcaResult:
 
 
 def svt(x, tau):
-    """Singular value thresholding: shrink the spectrum of x by tau."""
-    u, s, v = thin_svd(x)
-    return (u * shrink(s, tau)) @ v.T
+    """Singular value thresholding: shrink the spectrum of x by tau.
+
+    The spectrum comes from one symmetric eigendecomposition of the Gram
+    matrix y'y of x's shorter side (y = x, or x' when x is wide):
+    y'y = V diag(s^2) V', and for the columns with s > tau the result is
+    ((y V) * (1 - tau / s)) V'. U is never formed, and the output does
+    not depend on the signs eigh gives V. Rounding in the Gram perturbs
+    the result by about eps * s_1^2 / tau. An x with a non-finite entry,
+    or whose Frobenius norm squared overflows float64, raises ValueError.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    wide = x.shape[0] < x.shape[1]
+    y = x.T if wide else x
+    with np.errstate(over="ignore"):
+        gram = y.T @ y
+    if not np.isfinite(gram).all():
+        raise ValueError("the input is non-finite or its squared norm overflows float64")
+    d, v = np.linalg.eigh(gram)
+    s = np.sqrt(np.maximum(d, 0.0))
+    keep = s > tau
+    v = v[:, keep]
+    out = ((y @ v) * (1.0 - tau / s[keep])) @ v.T
+    return out.T if wide else out
 
 
 def default_lam(m, n):
@@ -38,8 +63,10 @@ def rpca_ialm(x, lam=None, epsilon=1e-7, max_iter=1000):
     Alternates singular-value thresholding of the low-rank part,
     shrinkage of the sparse part, and a dual ascent step with growing
     step size, until ||X - A - E||_F / ||X||_F falls below epsilon.
-    lam defaults to 1/sqrt(max(m, n)). An x whose Frobenius norm
-    overflows float64 raises ValueError.
+    lam defaults to 1/sqrt(max(m, n)). An all-zero x splits into zeros
+    in 0 passes. A nonzero x whose squared Frobenius norm overflows
+    float64, or underflows below its smallest normal number, raises
+    ValueError.
 
     Step-size schedule: mu starts at 1.25 / sigma_1(X), grows by 1.5
     each pass, and is capped at 1e7 times its initial value.
@@ -54,8 +81,10 @@ def rpca_ialm(x, lam=None, epsilon=1e-7, max_iter=1000):
         x_norm = np.linalg.norm(x)
     if np.isinf(x_norm):
         raise ValueError("the Frobenius norm of the input overflows float64; rescale the data")
-    if x_norm == 0:
+    if not x.any():
         return RpcaResult(np.zeros_like(x), np.zeros_like(x), 0, True)
+    if x_norm < _NORM_FLOOR:
+        raise ValueError("the Frobenius norm of the input underflows float64; rescale the data")
     mu = 1.25 / np.linalg.norm(x, 2)
     mu_cap = mu * 1e7
     rho = 1.5
@@ -83,9 +112,10 @@ def rpca_slices(x, lam=None, epsilon=1e-7, max_iter=1000):
     passes any slice took, and whether every slice converged.
 
     Like solve, the loop runs with numpy's bundled OpenBLAS library at
-    one thread and restores the caller's count on return or error:
-    slice-sized SVDs run faster unsplit, and the output bits do not
-    depend on the caller's thread count.
+    one thread and restores the caller's count on return or error: the
+    slice-sized Gram products and eigendecompositions of svt run faster
+    unsplit, and the output bits do not depend on the caller's thread
+    count.
     """
     x = np.asarray(x, dtype=np.float64)
     low_rank = np.empty_like(x)

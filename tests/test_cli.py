@@ -188,6 +188,15 @@ def test_rpca_overflowing_input_is_a_usage_error(tmp_path, capsys):
     assert "error: the Frobenius norm of the input overflows" in capsys.readouterr().err
 
 
+def test_rpca_underflowing_input_is_a_usage_error(tmp_path, capsys):
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=2, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    src = tmp_path / "x.kdt"
+    write_tensor(src, x * 1e-200)
+    rc = run("rpca", "--input", src, "--out-dir", tmp_path / "o")
+    assert rc == 2
+    assert "error: the Frobenius norm of the input underflows" in capsys.readouterr().err
+
+
 NO_SCIPY_SCRIPT = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError

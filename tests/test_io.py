@@ -295,12 +295,14 @@ def test_metrics_floats_reparse_exactly(tmp_path):
         (read_trace, "iter,err_rec,err_split,mu,mu_K\n1,0.5,0.25,1.0\n"),
         (read_metrics, ""),
         (read_metrics, "name,value\n"),
+        (read_metrics, "metric,value\nauc\n"),
+        (read_trace, "iter,err_rec,err_split,mu,mu_K\n1,a,b,c,d\n"),
     ],
 )
 def test_tables_reject_bad_header_or_row(tmp_path, reader, text):
     path = tmp_path / "table.csv"
     path.write_text(text)
-    with pytest.raises(StorageError) as info:
+    with pytest.raises(StorageError, match="table.csv") as info:
         reader(path)
     assert type(info.value) is StorageError
 

@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kdrsdl import RpcaResult, rpca_ialm, rpca_slices, svt
+from kdrsdl import RpcaResult, rpca_ialm, rpca_slices, shrink, svt
 
 
 def test_svt_zero_threshold_identity():
@@ -34,6 +36,48 @@ def test_svt_rank_counts_surviving_values():
         tau = s[2] * 1.0001
         out = svt(x, tau)
         assert np.linalg.matrix_rank(out, tol=1e-10) == int(np.sum(s > tau))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(1, 12),
+    kind=st.sampled_from(["full", "low_rank", "column_scaled"]),
+    exponent=st.integers(-60, 60),
+    u=st.floats(-8.0, 0.2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=12, n=3, kind="low_rank", exponent=60, u=-8.0, seed=0)
+@example(m=3, n=12, kind="column_scaled", exponent=-60, u=-8.0, seed=1)
+@example(m=7, n=7, kind="full", exponent=0, u=0.2, seed=2)
+def test_svt_matches_the_svd_reference(m, n, kind, exponent, u, seed):
+    # the Gram's rounding moves each s^2 by about eps * s_1^2, which moves
+    # the output by about eps * s_1^2 / tau
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, n))
+    if kind == "low_rank":
+        k = int(rng.integers(1, min(m, n) + 1))
+        x = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
+    elif kind == "column_scaled":
+        x *= 10.0 ** (-12.0 * rng.random(n))
+    x *= 2.0**exponent
+    left, s, right = np.linalg.svd(x, full_matrices=False)
+    tau = s[0] * 10.0**u
+    ref = (left * shrink(s, tau)) @ right
+    out = svt(x, tau)
+    assert out.shape == x.shape
+    bound = 64 * np.finfo(np.float64).eps * s[0] ** 2 / tau * np.sqrt(min(m, n))
+    assert np.linalg.norm(out - ref) <= bound
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_svt_rejects_a_non_finite_square_without_numpy_warnings(bad):
+    x = np.ones((4, 3))
+    x[1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite or its squared norm overflows"):
+            svt(x, 0.5)
 
 
 def test_rpca_clean_rank_one_stays_low_rank():
@@ -83,6 +127,29 @@ def test_rpca_names_an_overflowing_norm_without_numpy_warnings():
         for split, data in ((rpca_ialm, x[:, :, 0]), (rpca_slices, x)):
             with pytest.raises(ValueError, match="norm of the input overflows"):
                 split(data, max_iter=50)
+
+
+def test_rpca_names_an_underflowing_norm():
+    # the squared norm of this x underflows to 0: it must not pass for the
+    # all-zero matrix and report a converged split into zeros
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((20, 15, 2)) * 1e-200
+    for split, data in ((rpca_ialm, x[:, :, 0]), (rpca_slices, x)):
+        with pytest.raises(ValueError, match="norm of the input underflows"):
+            split(data)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e152])
+def test_rpca_pass_count_does_not_depend_on_scale(scale):
+    rng = np.random.default_rng(5)
+    low = np.outer(rng.standard_normal(60), rng.standard_normal(40)) / 4
+    support = rng.random((60, 40)) < 0.1
+    x = np.where(support, rng.choice([-1.0, 1.0], size=(60, 40)), low)
+    res = rpca_ialm(x * scale)
+    assert res.converged
+    assert res.iterations == 18
+    err = np.linalg.norm(res.low_rank / scale - low) / np.linalg.norm(low)
+    assert err <= 1e-4
 
 
 def test_rpca_residual_meets_tolerance_at_convergence():

@@ -599,7 +599,7 @@ def test_solve_restores_caller_blas_threads(caller_threads, monkeypatch):
     rpca_slices(x, max_iter=2)
     assert blas_threads() == [2] * len(BLAS)
     seen.clear()
-    monkeypatch.setattr(rpca, "thin_svd", failing_kernel)
+    monkeypatch.setattr(rpca, "svt", failing_kernel)
     with pytest.raises(np.linalg.LinAlgError):
         rpca_slices(x)
     assert seen == [[1] * len(BLAS)]
