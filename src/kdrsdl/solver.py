@@ -15,12 +15,13 @@ block.
 
 All tensors stay in the canonical layout of the tensor module, so each
 contraction of a pass is one GEMM on a free reshape or one batched
-matmul of small slices. A pass costs two low-rank rebuilds (dual step and
-residual check) and two products with the weighted data
-W = mu (X - E) + Lambda: one for the A target and the projection
-W_i.T @ A that both the B target and the split update reuse. The dual
-step's D = X - a K b.T is carried into the next pass, whose E and W both
-come from v = mu D + Lambda with no rebuild.
+matmul of small slices. A pass costs one low-rank rebuild (the dual
+step's) and two products with the weighted data W = mu (X - E) + Lambda:
+one for the A target and the projection W_i.T @ A that both the B target
+and the split update reuse. The dual step's D = X - a K b.T is carried
+into the next pass, whose E and W both come from v = mu D + Lambda with
+no rebuild, and its P = mu (D - E) gives the residual check in the r x r
+frame of the core, also with no rebuild.
 
 iterate advances one SolverState in place: it overwrites E and Lambda,
 and every data-sized intermediate lives in two scratch buffers kept on
@@ -97,11 +98,13 @@ class SolverConfig:
 class _Scratch:
     # The two data-sized buffers a solve reuses on every pass. Between
     # passes d holds D = X - a K b.T for the state's factors and the x it
-    # was computed from; free is overwritten by each pass and residual
-    # check. warned records that the zero-norm warning has fired.
+    # was computed from, and free holds P = mu (D - E) for the step size
+    # mu of the pass that left it; the next pass overwrites free. warned
+    # records that the zero-norm warning has fired.
     x: np.ndarray
     d: np.ndarray
     free: np.ndarray
+    mu: float = 1.0
     warned: bool = False
 
 
@@ -297,7 +300,7 @@ def iterate(state, x, config):
     np.subtract(d, e, out=w)
     w *= mu
     state.dual_rec += w
-    work.d, work.free = d, w
+    work.d, work.free, work.mu = d, w, mu
     state.a, state.b, state.core, state.split = a, b, core, k
     state.dual_split = state.dual_split + mu_k * (core - k)
     state.mu, state.mu_k = min(state.mu_cap, RHO * mu), min(state.mu_k_cap, RHO * mu_k)
@@ -313,20 +316,39 @@ def errors_of(state, x, *, x_sq=None, scratch=None):
     are guarded with a 1e-300 denominator floor and reported through a
     warning.
 
+    The residual is never rebuilt. With P = mu (X - a K b.T - E) and
+    Delta = K - R, slice i of it is P_i / mu + a Delta_i b.T, so its
+    squared norm is ||P_i||^2 / mu^2 + (2 / mu) <a.T P_i b, Delta_i>
+    + <(a.T a) Delta_i (b.T b), Delta_i>, clamped at 0 against rounding:
+    one sweep over P, one r-skinny projection and r x r work.
+
     A caller checking every pass passes x_sq, the squared slice norms of
-    x, and the state's scratch, whose free buffer then receives the
-    residual; the warning fires once per scratch, so once per solve.
+    x, and the state's scratch. When the scratch was filled from this x,
+    its free buffer holds P for the pass iterate just made and its mu is
+    that pass's step size, so the check writes nothing data-sized; any
+    other call builds P itself with mu = 1. The warning fires once per
+    scratch, so once per solve.
     """
     if x_sq is None:
         x_sq = slice_norms(x) ** 2
-    resid = reconstruct(
-        state.core, state.a, state.b, out=None if scratch is None else scratch.free
+    a, b = state.a, state.b
+    if scratch is not None and scratch.x is x:
+        p, mu = scratch.free, scratch.mu
+    else:
+        p, mu = x - reconstruct(state.split, a, b) - state.outliers, 1.0
+    # each term is an inner product of transposed r x r slices, stacked
+    # (N, r, r): Delta_i.T, (a.T P_i b).T and ((a.T a) Delta_i (b.T b)).T
+    gap = state.split - state.core
+    cross = b.T @ _project(p, a)
+    spread = (b.T @ b) @ gap.T @ (a.T @ a)
+    resid_sq = np.maximum(
+        slice_norms(p) ** 2 / mu**2
+        + (2 / mu) * np.einsum("kij,kij->k", cross, gap.T)
+        + np.einsum("kij,kij->k", spread, gap.T),
+        0.0,
     )
-    np.subtract(x, resid, out=resid)
-    resid -= state.outliers
-    resid_sq = slice_norms(resid) ** 2
     core_sq = slice_norms(state.core) ** 2
-    gap_sq = slice_norms(state.core - state.split) ** 2
+    gap_sq = slice_norms(gap) ** 2
     err_rec = float(np.max(resid_sq / np.maximum(x_sq, TINY_DENOM)))
     err_split = float(np.max(gap_sq / np.maximum(core_sq, TINY_DENOM)))
     if (np.any(x_sq == 0) or np.any(core_sq == 0)) and (
@@ -371,9 +393,10 @@ def solve(x, config=None):
     SolverError at iteration 1, before any pass.
 
     Each pass is one call of iterate, which advances the solve's one
-    state in place, and one errors_of check, which reuses its scratch. A
-    pass makes two low-rank rebuilds and, after the first, allocates no
-    data-sized array; the solve holds at most five, x included.
+    state in place, and one errors_of check, which reads the P its
+    scratch holds. A pass makes one low-rank rebuild and, after the
+    first, allocates no data-sized array; the solve holds at most five, x
+    included.
 
     The whole solve runs with numpy's bundled OpenBLAS library at one
     thread, and the caller's thread count is restored on return or

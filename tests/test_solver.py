@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdrsdl import (
     SolverConfig,
@@ -426,6 +428,104 @@ def test_errors_of_zero_slice_flagged():
     with pytest.warns(RuntimeWarning):
         state = initialize(x, cfg)
         errors_of(state, x)
+
+
+def direct_err_rec(state, x):
+    """err_rec from the residual X - a R b.T - E itself: the reference for errors_of."""
+    resid = x - reconstruct(state.core, state.a, state.b) - state.outliers
+    return float(np.max(slice_norms(resid) ** 2 / slice_norms(x) ** 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(1, 12),
+    num=st.integers(1, 5),
+    data=st.data(),
+    k=st.integers(-40, 40),
+    passes=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_errors_of_matches_the_direct_residual(m, n, num, data, k, passes, seed):
+    """The r x r form of the check agrees with the rebuilt residual at any scale.
+
+    After real passes the scratch holds the last pass's P and K != R, so
+    every term of the formula is live; the public call without a scratch
+    builds P itself and must agree too.
+    """
+    r = data.draw(st.integers(1, min(m, n)), label="r")
+    x = np.random.default_rng(seed).standard_normal((m, n, num)) * 2.0**k
+    cfg = SolverConfig(r=r).resolved(m, n)
+    state = initialize(x, cfg)
+    for _ in range(passes):
+        iterate(state, x, cfg)
+    expected = direct_err_rec(state, x)
+    err_rec, _ = errors_of(state, x, x_sq=slice_norms(x) ** 2, scratch=state.scratch)
+    assert abs(err_rec - expected) <= 1e-12
+    assert abs(errors_of(state, x)[0] - expected) <= 1e-12
+
+
+def test_errors_of_reads_an_exact_zero_residual_as_zero():
+    """A state with X = a R b.T + E exactly gives err_rec == 0.0.
+
+    With K = R every term is zero. With K != R the terms cancel: here
+    ||P||^2 = 3 is stored as sqrt(3)**2 < 3, so they sum to a negative
+    round-off that the clamp must read as 0.
+    """
+    rng = np.random.default_rng(5)
+    cfg = SolverConfig(r=2).resolved(6, 5)
+    state, x = consistent_state(rng, 6, 5, 3, 2, cfg)
+    assert errors_of(state, x)[0] == 0.0
+
+    x = np.ones((3, 1, 1))
+    state = initialize(x, SolverConfig(r=1).resolved(3, 1))
+    ones = np.ones((1, 1, 1), order="F")
+    state = replace(state, a=np.ones((3, 1)), b=np.ones((1, 1)), core=ones, split=2 * ones)
+    assert direct_err_rec(state, x) == 0.0
+    assert errors_of(state, x)[0] == 0.0
+
+
+def test_errors_of_builds_p_for_an_x_the_scratch_did_not_see():
+    """The scratch's P is read only for the x it was filled from.
+
+    Given another x, or a state made with replace (which drops the
+    scratch), errors_of must build P itself, not read a stale one.
+    """
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    cfg = SolverConfig(r=3).resolved(12, 10)
+    state = initialize(x, cfg)
+    for _ in range(3):
+        iterate(state, x, cfg)
+    stale = errors_of(state, x, scratch=state.scratch)[0]
+    x2 = x + 0.5
+    got = errors_of(state, x2, scratch=state.scratch)[0]
+    assert got != stale
+    assert abs(got - direct_err_rec(state, x2)) <= 1e-12
+
+    fresh = replace(state, outliers=state.outliers + 0.25)
+    got = errors_of(fresh, x, scratch=fresh.scratch)[0]
+    assert got != stale
+    assert abs(got - direct_err_rec(fresh, x)) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [2, 20])
+def test_residual_check_does_not_raise_the_warm_pass_peak(r):
+    """The check's r-skinny projection of P stays under the pass's own peak."""
+    spec = SyntheticSpec(m=40, n=40, num_slices=10, rank_a=2, rank_b=2, r=r, p=0.7, seed=0)
+    x, _ = generate(spec)
+    cfg = SolverConfig(r=r).resolved(40, 40)
+    state = iterate(initialize(x, cfg), x, cfg)
+    x_sq = slice_norms(x) ** 2
+    tracemalloc.start()
+    try:
+        iterate(state, x, cfg)
+        _, pass_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        errors_of(state, x, x_sq=x_sq, scratch=state.scratch)
+        _, check_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check_peak <= pass_peak
 
 
 def test_solver_error_carries_iteration_and_trace():
