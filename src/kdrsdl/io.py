@@ -77,6 +77,8 @@ def write_tensor(path, t):
     if not np.isfinite(t).all():
         raise NonFiniteValueError(f"{path}: refusing to write non-finite values")
     m, n, num = t.shape
+    if t.size == 0:
+        raise StorageError(f"{path}: refusing to write an empty {m}x{n}x{num} tensor")
     with open(path, "wb") as fh:
         fh.write(KDT_HEADER.pack(KDT_MAGIC, m, n, num))
         # t.T is C-contiguous and holds the payload in file order
@@ -201,6 +203,8 @@ def write_image(path, image):
     else:
         raise ValueError(f"expected (h, w) or (h, w, 3) image, got {image.shape}")
     height, width = image.shape[:2]
+    if image.size == 0:
+        raise StorageError(f"{path}: refusing to write an empty image {width}x{height}")
     with open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (width, height))
         fh.write(pixels.tobytes())

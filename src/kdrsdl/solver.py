@@ -27,7 +27,9 @@ iterate advances one SolverState in place: it overwrites E and Lambda,
 and every data-sized intermediate lives in two scratch buffers kept on
 the state from pass to pass. A solve therefore holds one state and at
 most five data-sized arrays (X, E, Lambda and the two buffers), and no
-pass after the first allocates one.
+pass after the first allocates one. errors_of(state, x) reads P from the
+same scratch, which is valid while only iterate advances the state; any
+other edit goes through dataclasses.replace, which drops it.
 """
 
 import warnings
@@ -96,16 +98,16 @@ class SolverConfig:
 
 @dataclass
 class _Scratch:
-    # The two data-sized buffers a solve reuses on every pass. Between
-    # passes d holds D = X - a K b.T for the state's factors and the x it
-    # was computed from, and free holds P = mu (D - E) for the step size
-    # mu of the pass that left it; the next pass overwrites free. warned
-    # records that the zero-norm warning has fired.
+    # The two data-sized buffers a solve reuses on every pass, built for
+    # one x, with x_sq its squared slice norms. Between passes d holds
+    # D = X - a K b.T for the state's factors and free holds P = mu (D - E)
+    # for the step size mu of the pass that left it; the next pass
+    # overwrites free.
     x: np.ndarray
+    x_sq: np.ndarray
     d: np.ndarray
     free: np.ndarray
     mu: float = 1.0
-    warned: bool = False
 
 
 @dataclass
@@ -113,9 +115,10 @@ class SolverState:
     """All iterates of one run: factors, duals, step sizes, pass count.
 
     iterate advances a state in place, reusing the buffers in scratch from
-    pass to pass. scratch is not an argument of the constructor, and
-    dataclasses.replace drops it, so a rebuilt state allocates fresh
-    buffers on its next pass and never sees a stale D.
+    pass to pass, and errors_of reads the last pass's P from them. The
+    scratch is valid while only iterate advances the state: it is not an
+    argument of the constructor, and dataclasses.replace drops it, so an
+    edited state never shows a stale D or P.
     """
 
     a: np.ndarray            # m x r basis
@@ -278,7 +281,7 @@ def iterate(state, x, config):
     if work is None or work.x is not x:
         d = reconstruct(state.split, state.a, state.b, out=np.empty(x.shape, order="F"))
         np.subtract(x, d, out=d)
-        work = state.scratch = _Scratch(x, d, np.empty_like(d))
+        work = state.scratch = _Scratch(x, slice_norms(x) ** 2, d, np.empty_like(d))
     mu, mu_k = state.mu, state.mu_k
     try:
         e, w = _outliers_and_data(
@@ -308,13 +311,12 @@ def iterate(state, x, config):
     return state
 
 
-def errors_of(state, x, *, x_sq=None, scratch=None):
+def errors_of(state, x):
     """Worst-slice squared relative residuals (err_rec, err_split).
 
     err_rec measures X_i - a R_i b.T - E_i against ||X_i||_F^2 and
     err_split measures R_i - K_i against ||R_i||_F^2. Zero-norm slices
-    are guarded with a 1e-300 denominator floor and reported through a
-    warning.
+    are guarded with a 1e-300 denominator floor; the check never warns.
 
     The residual is never rebuilt. With P = mu (X - a K b.T - E) and
     Delta = K - R, slice i of it is P_i / mu + a Delta_i b.T, so its
@@ -322,20 +324,17 @@ def errors_of(state, x, *, x_sq=None, scratch=None):
     + <(a.T a) Delta_i (b.T b), Delta_i>, clamped at 0 against rounding:
     one sweep over P, one r-skinny projection and r x r work.
 
-    A caller checking every pass passes x_sq, the squared slice norms of
-    x, and the state's scratch. When the scratch was filled from this x,
-    its free buffer holds P for the pass iterate just made and its mu is
-    that pass's step size, so the check writes nothing data-sized; any
-    other call builds P itself with mu = 1. The warning fires once per
-    scratch, so once per solve.
+    When the state's scratch was built for this x, it checks the pass
+    iterate just made: the scratch holds P, that pass's step size mu and
+    the squared slice norms of x, so the check writes nothing data-sized.
+    Any other state or x has P built with mu = 1.
     """
-    if x_sq is None:
-        x_sq = slice_norms(x) ** 2
-    a, b = state.a, state.b
-    if scratch is not None and scratch.x is x:
-        p, mu = scratch.free, scratch.mu
+    a, b, work = state.a, state.b, state.scratch
+    if work is not None and work.x is x:
+        p, mu, x_sq = work.free, work.mu, work.x_sq
     else:
         p, mu = x - reconstruct(state.split, a, b) - state.outliers, 1.0
+        x_sq = slice_norms(x) ** 2
     # each term is an inner product of transposed r x r slices, stacked
     # (N, r, r): Delta_i.T, (a.T P_i b).T and ((a.T a) Delta_i (b.T b)).T
     gap = state.split - state.core
@@ -351,14 +350,6 @@ def errors_of(state, x, *, x_sq=None, scratch=None):
     gap_sq = slice_norms(gap) ** 2
     err_rec = float(np.max(resid_sq / np.maximum(x_sq, TINY_DENOM)))
     err_split = float(np.max(gap_sq / np.maximum(core_sq, TINY_DENOM)))
-    if (np.any(x_sq == 0) or np.any(core_sq == 0)) and (
-        scratch is None or not scratch.warned
-    ):
-        # solve is the caller that passes its scratch; point at solve's caller
-        level = 2 if scratch is None else 3
-        warnings.warn(ZERO_NORM_WARNING, RuntimeWarning, stacklevel=level)
-        if scratch is not None:
-            scratch.warned = True
     return err_rec, err_split
 
 
@@ -396,7 +387,8 @@ def solve(x, config=None):
     state in place, and one errors_of check, which reads the P its
     scratch holds. A pass makes one low-rank rebuild and, after the
     first, allocates no data-sized array; the solve holds at most five, x
-    included.
+    included. After the first pass at which x or the core has a
+    zero-norm slice, solve warns once, at its caller.
 
     The whole solve runs with numpy's bundled OpenBLAS library at one
     thread, and the caller's thread count is restored on return or
@@ -419,7 +411,7 @@ def solve(x, config=None):
             )
         state = initialize(x, cfg)
         trace = np.zeros((cfg.max_iter, 4))
-        converged = False
+        converged = warned = False
         while not converged and state.iteration < cfg.max_iter:
             mu, mu_k = state.mu, state.mu_k
             try:
@@ -427,7 +419,10 @@ def solve(x, config=None):
             except SolverError as exc:
                 exc.trace = trace[: state.iteration].copy()
                 raise
-            errors = errors_of(state, x, x_sq=x_sq, scratch=state.scratch)
+            errors = errors_of(state, x)
+            if not (warned or (x_sq.all() and slice_norms(state.core).all())):
+                warnings.warn(ZERO_NORM_WARNING, RuntimeWarning, stacklevel=2)
+                warned = True
             trace[state.iteration - 1] = (*errors, mu, mu_k)
             converged = max(errors) <= cfg.epsilon
         return Factorization(

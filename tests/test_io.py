@@ -90,6 +90,14 @@ def test_tensor_rejects_empty_header(tmp_path):
     assert type(info.value) is StorageError
 
 
+def test_tensor_rejects_empty_on_write_before_creating_the_file(tmp_path):
+    path = tmp_path / "t.kdt"
+    with pytest.raises(StorageError, match="t.kdt: .*empty") as info:
+        write_tensor(path, np.zeros((0, 3, 2)))
+    assert type(info.value) is StorageError
+    assert not path.exists()
+
+
 def test_tensor_rejects_non_finite_on_write(tmp_path):
     t = np.ones((2, 2, 2))
     t[0, 0, 0] = np.inf
@@ -224,6 +232,14 @@ def test_write_image_rejects_bad_pixels(tmp_path, image, error):
     with pytest.raises(ValueError) as info:
         write_image(path, image)
     assert type(info.value) is error
+    assert not path.exists()
+
+
+def test_write_image_rejects_an_empty_image_before_creating_the_file(tmp_path):
+    path = tmp_path / "i.pgm"
+    with pytest.raises(StorageError, match="i.pgm: .*empty") as info:
+        write_image(path, np.zeros((0, 5)))
+    assert type(info.value) is StorageError
     assert not path.exists()
 
 

@@ -287,9 +287,8 @@ def test_failed_pass_drops_the_scratch(monkeypatch):
     assert state_bits(state) == state_bits(reference)
 
 
-def test_solver_error_trace_holds_the_passes_before_the_failure(monkeypatch):
-    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
-    full = solve(x, SolverConfig(r=3))
+def fail_stein_at_pass_3(monkeypatch):
+    """Make the third Stein solve of the next solve raise, as a failure at pass 3."""
     stein, calls = solver.solve_stein, []
 
     def stein_failing_at_pass_3(*args):
@@ -299,6 +298,12 @@ def test_solver_error_trace_holds_the_passes_before_the_failure(monkeypatch):
         return stein(*args)
 
     monkeypatch.setattr(solver, "solve_stein", stein_failing_at_pass_3)
+
+
+def test_solver_error_trace_holds_the_passes_before_the_failure(monkeypatch):
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    full = solve(x, SolverConfig(r=3))
+    fail_stein_at_pass_3(monkeypatch)
     with pytest.raises(solver.SolverError) as info:
         solve(x, SolverConfig(r=3))
     assert info.value.iteration == 3
@@ -310,11 +315,10 @@ def test_warm_pass_allocates_no_data_sized_array():
     x, _ = generate(spec)
     cfg = SolverConfig(r=2).resolved(40, 40)
     state = iterate(initialize(x, cfg), x, cfg)
-    x_sq = slice_norms(x) ** 2
     tracemalloc.start()
     try:
         state = iterate(state, x, cfg)
-        errors_of(state, x, x_sq=x_sq, scratch=state.scratch)
+        errors_of(state, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -421,13 +425,27 @@ def test_errors_of_perturbation_identity():
     assert abs(err_rec - expected) <= 1e-12 * expected
 
 
-def test_errors_of_zero_slice_flagged():
+def test_errors_of_floors_zero_slices_without_warning():
+    """Zero-norm slices of x and of the core divide by the 1e-300 floor, silently.
+
+    On a zero x the start has zero bases and core, so the residual is -E
+    and the split gap is K; squared norms of 1e-300 read as about 1.
+    """
     x = np.zeros((4, 4, 2))
-    x[0, 0, 1] = 1.0
     cfg = SolverConfig(r=2).resolved(4, 4)
-    with pytest.warns(RuntimeWarning):
-        state = initialize(x, cfg)
-        errors_of(state, x)
+    state = initialize(x, cfg)
+    outliers, split = state.outliers.copy(), state.split.copy()
+    outliers[0, 0, 0] = split[0, 0, 1] = 1e-150
+    state = replace(state, outliers=outliers, split=split)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err_rec, err_split = errors_of(state, x)
+        assert err_rec == pytest.approx(1.0, rel=1e-12)
+        assert err_split == pytest.approx(1.0, rel=1e-12)
+        # and on the scratch's path, after a real pass
+        x[0, 0, 1] = 1.0
+        state = iterate(initialize(x, cfg), x, cfg)
+        assert errors_of(state, x) == pytest.approx(errors_of(replace(state), x), rel=1e-12)
 
 
 def direct_err_rec(state, x):
@@ -450,8 +468,8 @@ def test_errors_of_matches_the_direct_residual(m, n, num, data, k, passes, seed)
     """The r x r form of the check agrees with the rebuilt residual at any scale.
 
     After real passes the scratch holds the last pass's P and K != R, so
-    every term of the formula is live; the public call without a scratch
-    builds P itself and must agree too.
+    every term of the formula is live; a state made with replace has no
+    scratch, so the check builds P itself and must agree too.
     """
     r = data.draw(st.integers(1, min(m, n)), label="r")
     x = np.random.default_rng(seed).standard_normal((m, n, num)) * 2.0**k
@@ -460,9 +478,8 @@ def test_errors_of_matches_the_direct_residual(m, n, num, data, k, passes, seed)
     for _ in range(passes):
         iterate(state, x, cfg)
     expected = direct_err_rec(state, x)
-    err_rec, _ = errors_of(state, x, x_sq=slice_norms(x) ** 2, scratch=state.scratch)
-    assert abs(err_rec - expected) <= 1e-12
     assert abs(errors_of(state, x)[0] - expected) <= 1e-12
+    assert abs(errors_of(replace(state), x)[0] - expected) <= 1e-12
 
 
 def test_errors_of_reads_an_exact_zero_residual_as_zero():
@@ -496,14 +513,14 @@ def test_errors_of_builds_p_for_an_x_the_scratch_did_not_see():
     state = initialize(x, cfg)
     for _ in range(3):
         iterate(state, x, cfg)
-    stale = errors_of(state, x, scratch=state.scratch)[0]
+    stale = errors_of(state, x)[0]
     x2 = x + 0.5
-    got = errors_of(state, x2, scratch=state.scratch)[0]
+    got = errors_of(state, x2)[0]
     assert got != stale
     assert abs(got - direct_err_rec(state, x2)) <= 1e-12
 
     fresh = replace(state, outliers=state.outliers + 0.25)
-    got = errors_of(fresh, x, scratch=fresh.scratch)[0]
+    got = errors_of(fresh, x)[0]
     assert got != stale
     assert abs(got - direct_err_rec(fresh, x)) <= 1e-12
 
@@ -515,13 +532,12 @@ def test_residual_check_does_not_raise_the_warm_pass_peak(r):
     x, _ = generate(spec)
     cfg = SolverConfig(r=r).resolved(40, 40)
     state = iterate(initialize(x, cfg), x, cfg)
-    x_sq = slice_norms(x) ** 2
     tracemalloc.start()
     try:
         iterate(state, x, cfg)
         _, pass_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        errors_of(state, x, x_sq=x_sq, scratch=state.scratch)
+        errors_of(state, x)
         _, check_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -577,6 +593,41 @@ def test_zero_slice_warning_points_at_the_caller_of_solve():
         warnings.simplefilter("always")
         solve(x, SolverConfig(r=2))
     assert [w.filename for w in caught] == [__file__]
+
+
+def test_zero_core_slice_warning_fires_once_at_the_caller_of_solve(monkeypatch):
+    """A core slice shrunk to zero warns once, though no data slice is zero."""
+    spec = SyntheticSpec(m=12, n=10, num_slices=6, rank_a=1, rank_b=1, r=1, p=0.7, seed=3)
+    _, truth = generate(spec)
+    low_rank = truth.low_rank * (0.55 / np.sqrt(np.mean(truth.low_rank**2)))
+    x = low_rank + truth.outliers
+    assert slice_norms(x).all()
+    cores = []
+
+    def recording_iterate(state, *args):
+        cores.append(slice_norms(iterate(state, *args).core))
+        return state
+
+    monkeypatch.setattr(solver, "iterate", recording_iterate)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve(x, SolverConfig(r=1))
+    assert not all(norms.all() for norms in cores)
+    assert [w.filename for w in caught] == [__file__]
+    assert "zero-norm" in str(caught[0].message)
+
+
+def test_zero_slice_warning_fires_before_a_later_solver_error(monkeypatch):
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    x[:, :, 1] = 0.0
+    fail_stein_at_pass_3(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(solver.SolverError) as info:
+            solve(x, SolverConfig(r=3))
+    assert info.value.iteration == 3
+    assert [w.filename for w in caught] == [__file__]
+    assert "zero-norm" in str(caught[0].message)
 
 
 def test_solve_bit_identical_in_c_and_fortran_order():
