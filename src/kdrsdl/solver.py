@@ -316,7 +316,8 @@ def errors_of(state, x):
 
     err_rec measures X_i - a R_i b.T - E_i against ||X_i||_F^2 and
     err_split measures R_i - K_i against ||R_i||_F^2. Zero-norm slices
-    are guarded with a 1e-300 denominator floor; the check never warns.
+    are guarded with a 1e-300 denominator floor, and a ratio that
+    overflows past it reads as inf; the check never warns.
 
     The residual is never rebuilt. With P = mu (X - a K b.T - E) and
     Delta = K - R, slice i of it is P_i / mu + a Delta_i b.T, so its
@@ -348,8 +349,10 @@ def errors_of(state, x):
     )
     core_sq = slice_norms(state.core) ** 2
     gap_sq = slice_norms(gap) ** 2
-    err_rec = float(np.max(resid_sq / np.maximum(x_sq, TINY_DENOM)))
-    err_split = float(np.max(gap_sq / np.maximum(core_sq, TINY_DENOM)))
+    # a ratio past the float range over a floored denominator reads as inf
+    with np.errstate(over="ignore"):
+        err_rec = float(np.max(resid_sq / np.maximum(x_sq, TINY_DENOM)))
+        err_split = float(np.max(gap_sq / np.maximum(core_sq, TINY_DENOM)))
     return err_rec, err_split
 
 

@@ -448,6 +448,30 @@ def test_errors_of_floors_zero_slices_without_warning():
         assert errors_of(state, x) == pytest.approx(errors_of(replace(state), x), rel=1e-12)
 
 
+def test_errors_of_reads_an_overflowing_ratio_as_inf():
+    """A zero core slice under a large split gap gives err_split == inf, silently.
+
+    Two passes on this 1 x 2 x 2 x shrink the second core slice to zero
+    while K keeps a gap of about 1.5e4, so the floored ratio passes the
+    float range.
+    """
+    x = np.random.default_rng(3_634_775_187).standard_normal((1, 2, 2)) * 2.0**21
+    cfg = SolverConfig(r=1).resolved(1, 2)
+    state = initialize(x, cfg)
+    for _ in range(2):
+        iterate(state, x, cfg)
+    assert slice_norms(state.core)[1] == 0.0
+    assert slice_norms(state.split - state.core)[1] > 1e4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err_rec, err_split = errors_of(state, x)
+        assert err_split == np.inf
+        assert abs(err_rec - direct_err_rec(state, x)) <= 1e-12
+        err_rec, err_split = errors_of(replace(state), x)
+        assert err_split == np.inf
+        assert abs(err_rec - direct_err_rec(state, x)) <= 1e-12
+
+
 def direct_err_rec(state, x):
     """err_rec from the residual X - a R b.T - E itself: the reference for errors_of."""
     resid = x - reconstruct(state.core, state.a, state.b) - state.outliers
