@@ -39,8 +39,8 @@ from .io import (
     write_tensor,
 )
 from .metrics import psnr, relative_error, roc_auc
-from .rpca import default_lam, rpca_slices
-from .solver import SolverConfig, SolverError, solve
+from .rpca import rpca_slices
+from .solver import SolverConfig, SolverError, default_lam, solve
 from .synthetic import PRNG_ALGORITHM, SyntheticSpec, density, generate
 
 
@@ -150,9 +150,9 @@ def cmd_decompose(args):
 
 def cmd_rpca(args):
     x = read_tensor(args.input)
-    lam = default_lam(x.shape[0], x.shape[1]) if args.lam is None else args.lam
+    config = _solver_config(args, x.shape[0], x.shape[1])
     start = time.perf_counter()
-    result = rpca_slices(x, lam=lam, epsilon=args.epsilon, max_iter=args.max_iter)
+    result = rpca_slices(x, lam=config.lam, epsilon=config.epsilon, max_iter=config.max_iter)
     elapsed = time.perf_counter() - start
     _write_run(
         args,
@@ -162,7 +162,7 @@ def cmd_rpca(args):
             "converged": result.converged,
         },
         arrays=[("low_rank.kdt", result.low_rank), ("sparse.kdt", result.sparse)],
-        lam=lam,
+        lam=config.lam,
     )
     print(f"decomposed {x.shape[2]} slices in {elapsed:.2f} s")
     return 0
@@ -301,25 +301,22 @@ def cmd_eval(args):
     return 0
 
 
-def _add_solver_flags(parser, with_iteration_flags):
-    parser.add_argument("--r", type=int, default=None, help="core size (default min(m, n))")
-    parser.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        default=None,
-        help="outlier weight (default 1/sqrt(max(m, n)))",
-    )
-    parser.add_argument(
-        "--alpha", type=float, default=SolverConfig.alpha, help="core sparsity weight"
-    )
-    if with_iteration_flags:
-        parser.add_argument(
-            "--epsilon", type=float, default=SolverConfig.epsilon, help="stopping tolerance"
-        )
-        parser.add_argument(
-            "--max-iter", type=int, default=SolverConfig.max_iter, help="iteration cap"
-        )
+# the flag of each SolverConfig field: spelling, type and help
+_SOLVER_FLAGS = {
+    "r": ("--r", int, "core size (default min(m, n))"),
+    "lam": ("--lambda", float, "outlier weight (default 1/sqrt(max(m, n)))"),
+    "alpha": ("--alpha", float, "core sparsity weight"),
+    "epsilon": ("--epsilon", float, "stopping tolerance"),
+    "max_iter": ("--max-iter", int, "iteration cap"),
+}
+
+
+def _add_solver_flags(parser, *dests):
+    # the flags of the given SolverConfig fields, with SolverConfig's defaults
+    for dest in dests:
+        flag, kind, text = _SOLVER_FLAGS[dest]
+        default = getattr(SolverConfig, dest)
+        parser.add_argument(flag, dest=dest, type=kind, default=default, help=text)
 
 
 def build_parser():
@@ -337,28 +334,26 @@ def build_parser():
     p.add_argument("--rank-b", type=int, default=5)
     p.add_argument("--zero-prob", type=float, default=0.7, help="probability an outlier entry is zero")
     p.add_argument("--seed", type=int, default=0)
-    _add_solver_flags(p, with_iteration_flags=False)
+    _add_solver_flags(p, "r", "lam", "alpha")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("decompose", help="factor a stored tensor into a bundle")
     p.add_argument("--input", required=True, help="input .kdt tensor")
-    _add_solver_flags(p, with_iteration_flags=True)
+    _add_solver_flags(p, "r", "lam", "alpha", "epsilon", "max_iter")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("rpca", help="slice-wise robust PCA baseline")
     p.add_argument("--input", required=True, help="input .kdt tensor")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=1e-7)
-    p.add_argument("--max-iter", type=int, default=1000)
+    _add_solver_flags(p, "lam", "epsilon", "max_iter")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_rpca)
 
     p = sub.add_parser("bgsub", help="foreground scoring on a frame stack")
     p.add_argument("--frames", required=True, help="glob of grayscale PGM frames")
     p.add_argument("--mask-frames", required=True, help="glob of binary PGM masks")
-    _add_solver_flags(p, with_iteration_flags=False)
+    _add_solver_flags(p, "r", "lam", "alpha")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_bgsub)
 
@@ -367,7 +362,7 @@ def build_parser():
     p.add_argument("--noise-level", type=float, required=True, help="corruption density in [0, 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=("kdrsdl", "rpca"), default="kdrsdl")
-    p.add_argument("--r", type=int, default=None, help="core size (default min(m, n))")
+    _add_solver_flags(p, "r")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_denoise)
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _one_blas_thread, shrink
+from .solver import SolverConfig
 
 
 # the smallest Frobenius norm whose square is a normal float64: below it the
@@ -52,21 +53,17 @@ def svt(x, tau):
     return out.T if wide else out
 
 
-def default_lam(m, n):
-    """The default sparsity weight 1/sqrt(max(m, n)) for an m x n matrix."""
-    return 1.0 / np.sqrt(max(m, n))
-
-
 def rpca_ialm(x, lam=None, epsilon=1e-7, max_iter=1000):
     """Split x into low-rank plus sparse via inexact ALM.
 
     Alternates singular-value thresholding of the low-rank part,
     shrinkage of the sparse part, and a dual ascent step with growing
     step size, until ||X - A - E||_F / ||X||_F falls below epsilon.
-    lam defaults to 1/sqrt(max(m, n)). An all-zero x splits into zeros
-    in 0 passes. A nonzero x whose squared Frobenius norm overflows
-    float64, or underflows below its smallest normal number, raises
-    ValueError.
+    SolverConfig.resolved checks lam, epsilon and max_iter as it does for
+    solve, and lam defaults to 1/sqrt(max(m, n)): a bad value or an empty
+    x raises ValueError. An all-zero x splits into zeros in 0 passes. A
+    nonzero x whose squared Frobenius norm overflows float64, or
+    underflows below its smallest normal number, raises ValueError.
 
     Step-size schedule: mu starts at 1.25 / sigma_1(X), grows by 1.5
     each pass, and is capped at 1e7 times its initial value.
@@ -75,8 +72,7 @@ def rpca_ialm(x, lam=None, epsilon=1e-7, max_iter=1000):
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite entries")
     m, n = x.shape
-    if lam is None:
-        lam = default_lam(m, n)
+    lam = SolverConfig(lam=lam, epsilon=epsilon, max_iter=max_iter).resolved(m, n).lam
     with np.errstate(over="ignore"):
         x_norm = np.linalg.norm(x)
     if np.isinf(x_norm):

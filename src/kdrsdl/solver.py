@@ -38,7 +38,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import _one_blas_thread, shrink, solve_gram_system, solve_stein, thin_svd
-from .rpca import default_lam
 from .tensor import as_tensor, reconstruct, slice_norms
 
 TINY_DENOM = 1e-300
@@ -58,17 +57,25 @@ class SolverError(RuntimeError):
         self.trace = trace
 
 
+def default_lam(m, n):
+    """The default sparsity weight 1/sqrt(max(m, n)) for an m x n matrix."""
+    return 1.0 / np.sqrt(max(m, n))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver parameters.
+    """Solver parameters, and the one check of them.
 
     r and lam default to None and are resolved against the data: r
-    becomes min(m, n) and lam becomes 1/sqrt(max(m, n)). alpha weights
+    becomes min(m, n) and lam becomes default_lam(m, n). alpha weights
     the core sparsity. Iteration stops when the worst-slice squared
     relative residuals of both constraints drop below epsilon, or at
     max_iter. The step-size schedule is fixed by the module constants:
     ETA scales the initial dual step sizes, RHO grows them each pass,
     and MU_CAP_FACTOR bounds them at that multiple of their initial
+    values. resolved raises ValueError naming the first bad parameter
+    and its value, NaN included, and the RPCA baseline resolves its lam,
+    epsilon and max_iter through it too, so both methods accept the same
     values.
     """
 
@@ -87,11 +94,10 @@ class SolverConfig:
         cfg = replace(self, r=r, lam=lam)
         if not 1 <= r <= min(m, n):
             raise ValueError(f"need 1 <= r <= min(m, n) = {min(m, n)}, got r={r}")
-        if lam <= 0 or cfg.alpha <= 0:
-            raise ValueError("lam and alpha must be positive")
-        if cfg.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {cfg.epsilon}")
-        if cfg.max_iter < 1:
+        for name in ("lam", "alpha", "epsilon"):
+            if not getattr(cfg, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(cfg, name)}")
+        if not cfg.max_iter >= 1:
             raise ValueError(f"max_iter must be positive, got {cfg.max_iter}")
         return cfg
 
@@ -165,8 +171,17 @@ def initialize(x, config):
     leading singular values to a diagonal core slice. Columns belonging
     to exactly-zero singular values are zeroed out. Initial step sizes
     are ETA * N divided by the total slice norm of X (resp. of the core),
-    capped at MU_CAP_FACTOR times that.
+    capped at MU_CAP_FACTOR times that. An x whose squared slice norms
+    overflow float64 raises SolverError at iteration 1, before any pass.
     """
+    x_norms = slice_norms(x)
+    if not np.isfinite(x_norms ** 2).all():
+        raise SolverError(
+            "iteration 1: the squared slice norms of the input overflow "
+            "float64; rescale the data",
+            1,
+            np.zeros((0, 4)),
+        )
     num = x.shape[2]
     r = config.r
     u, s, v = thin_svd(x.transpose(2, 0, 1))
@@ -179,7 +194,7 @@ def initialize(x, config):
     core = np.zeros((r, r, num), order="F")
     diag = np.arange(r)
     core[diag, diag] = s[:, :r].T
-    x_total = slice_norms(x).sum()
+    x_total = x_norms.sum()
     core_total = slice_norms(core).sum()
     mu = ETA * num / x_total if x_total > 0 else ETA
     mu_k = ETA * num / core_total if core_total > 0 else ETA
@@ -383,8 +398,8 @@ def solve(x, config=None):
     config.epsilon, or max_iter passes. Deterministic given (x, config).
     Non-convergence is reported through Factorization.converged, not an
     error; numerical failures raise SolverError with the partial trace
-    attached. An x whose squared slice norms overflow float64 raises
-    SolverError at iteration 1, before any pass.
+    attached, as does an x whose squared slice norms overflow float64,
+    which initialize rejects at iteration 1.
 
     Each pass is one call of iterate, which advances the solve's one
     state in place, and one errors_of check, which reads the P its
@@ -404,14 +419,6 @@ def solve(x, config=None):
         cfg = (config if config is not None else SolverConfig()).resolved(
             x.shape[0], x.shape[1]
         )
-        x_sq = slice_norms(x) ** 2
-        if not np.isfinite(x_sq).all():
-            raise SolverError(
-                "iteration 1: the squared slice norms of the input overflow "
-                "float64; rescale the data",
-                1,
-                np.zeros((0, 4)),
-            )
         state = initialize(x, cfg)
         trace = np.zeros((cfg.max_iter, 4))
         converged = warned = False
@@ -423,7 +430,7 @@ def solve(x, config=None):
                 exc.trace = trace[: state.iteration].copy()
                 raise
             errors = errors_of(state, x)
-            if not (warned or (x_sq.all() and slice_norms(state.core).all())):
+            if not (warned or (state.scratch.x_sq.all() and slice_norms(state.core).all())):
                 warnings.warn(ZERO_NORM_WARNING, RuntimeWarning, stacklevel=2)
                 warned = True
             trace[state.iteration - 1] = (*errors, mu, mu_k)

@@ -179,22 +179,38 @@ def test_decompose_numerical_failure_exits_1(tmp_path, capsys):
     assert "solver failed: iteration 1:" in capsys.readouterr().err
 
 
-def test_rpca_overflowing_input_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "scale, flags, message",
+    [
+        (1e200, ["--max-iter", 50], "the Frobenius norm of the input overflows float64; rescale"),
+        (1e-200, [], "the Frobenius norm of the input underflows float64; rescale"),
+        (1.0, ["--max-iter", 0], "max_iter must be positive, got 0"),
+        (1.0, ["--epsilon", 0], "epsilon must be positive, got 0.0"),
+        (1.0, ["--epsilon", "nan"], "epsilon must be positive, got nan"),
+        (1.0, ["--lambda", -1], "lam must be positive, got -1.0"),
+        (1.0, ["--lambda", "nan"], "lam must be positive, got nan"),
+    ],
+    ids=["overflow", "underflow", "max-iter-0", "epsilon-0", "epsilon-nan", "lam-neg", "lam-nan"],
+)
+def test_rpca_usage_errors(tmp_path, capsys, scale, flags, message):
     x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=2, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
     src = tmp_path / "x.kdt"
-    write_tensor(src, x * 1e200)
-    rc = run("rpca", "--input", src, "--max-iter", 50, "--out-dir", tmp_path / "o")
+    write_tensor(src, x * scale)
+    rc = run("rpca", "--input", src, *flags, "--out-dir", tmp_path / "o")
     assert rc == 2
-    assert "error: the Frobenius norm of the input overflows" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
-def test_rpca_underflowing_input_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("flag, name", [("--lambda", "lam"), ("--alpha", "alpha"), ("--epsilon", "epsilon")])
+def test_decompose_rejects_a_nan_parameter(tmp_path, capsys, flag, name):
     x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=2, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
     src = tmp_path / "x.kdt"
-    write_tensor(src, x * 1e-200)
-    rc = run("rpca", "--input", src, "--out-dir", tmp_path / "o")
+    write_tensor(src, x)
+    rc = run("decompose", "--input", src, flag, "nan", "--out-dir", tmp_path / "o")
     assert rc == 2
-    assert "error: the Frobenius norm of the input underflows" in capsys.readouterr().err
+    assert f"error: {name} must be positive, got nan\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 NO_SCIPY_SCRIPT = """

@@ -119,6 +119,31 @@ def test_rpca_rejects_non_finite():
         rpca_ialm(x)
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"max_iter": 0}, "max_iter must be positive, got 0"),
+        ({"epsilon": 0.0}, "epsilon must be positive, got 0.0"),
+        ({"epsilon": np.nan}, "epsilon must be positive, got nan"),
+        ({"lam": -1.0}, "lam must be positive, got -1.0"),
+        ({"lam": np.nan}, "lam must be positive, got nan"),
+    ],
+    ids=["max-iter-0", "epsilon-0", "epsilon-nan", "lam-neg", "lam-nan"],
+)
+def test_rpca_rejects_bad_parameters(params, message):
+    # checked before the all-zero shortcut, so a zero x is rejected too
+    for x in (np.ones((4, 3)), np.zeros((4, 3))):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rpca_ialm(x, **params)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rpca_slices(np.ones((4, 3, 2)), **params)
+
+
+def test_rpca_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="slices must be at least 1 x 1, got 0 x 3"):
+        rpca_ialm(np.zeros((0, 3)))
+
+
 def test_rpca_names_an_overflowing_norm_without_numpy_warnings():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((12, 10, 2)) * 1e200

@@ -64,6 +64,12 @@ def test_config_rejects_bad_values():
         SolverConfig(epsilon=0.0).resolved(50, 40)
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=0).resolved(50, 40)
+    # every comparison with NaN is False, so a NaN must fail each check
+    for name in ("lam", "alpha", "epsilon"):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got nan$"):
+            SolverConfig(**{name: np.nan}).resolved(50, 40)
+    with pytest.raises(ValueError, match="^alpha must be positive, got -1.0$"):
+        SolverConfig(alpha=-1.0).resolved(50, 40)
 
 
 @pytest.mark.parametrize("m, n", [(0, 40), (50, 0), (-1, 3)])
@@ -594,6 +600,17 @@ def test_overflowing_input_names_the_overflow_without_numpy_warnings():
         warnings.simplefilter("error")
         with pytest.raises(solver.SolverError, match=r"^iteration 1: .*norms .* overflow") as info:
             solve(x * 1e200, SolverConfig(r=3))
+    assert info.value.iteration == 1
+    assert info.value.trace.shape == (0, 4)
+
+
+def test_initialize_rejects_overflowing_input():
+    # a hand-stepped solve meets the same check as solve: without it the
+    # step sizes start at 0 and the first pass divides by them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(solver.SolverError, match=r"^iteration 1: .*norms .* overflow") as info:
+            initialize(np.full((4, 3, 2), 1e200), SolverConfig().resolved(4, 3))
     assert info.value.iteration == 1
     assert info.value.trace.shape == (0, 4)
 
