@@ -4,6 +4,8 @@ The baseline the tensor solver is compared against: rpca_slices splits
 each frontal slice of a stack on its own.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,28 +103,65 @@ def rpca_ialm(x, lam=None, epsilon=1e-7, max_iter=1000):
     return RpcaResult(low, sparse, it, converged)
 
 
+def _usable_cpus():
+    # the CPUs this process may run on, where the platform can say
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def rpca_slices(x, lam=None, epsilon=1e-7, max_iter=1000):
     """Run rpca_ialm on every frontal slice of an (m, n, N) stack.
 
     The result holds the stacked low-rank and sparse parts, the most
     passes any slice took, and whether every slice converged.
 
-    Like solve, the loop runs with numpy's bundled OpenBLAS library at
-    one thread and restores the caller's count on return or error: the
-    slice-sized Gram products and eigendecompositions of svt run faster
-    unsplit, and the output bits do not depend on the caller's thread
-    count.
+    The slices are independent, so min(usable CPUs, N) threads, the
+    calling thread among them, take them in index order and write each
+    result into its place in the stack; with one usable CPU no thread is
+    started, and there is no option for it. Like solve, the slices run
+    with numpy's bundled OpenBLAS library at one thread, restoring the
+    caller's count on return or error: the slice-sized Gram products and
+    eigendecompositions of svt run faster unsplit, and they release the
+    GIL. The output is bit-identical to a serial loop over the slices,
+    whatever the thread counts. Once a slice fails no further slice
+    starts, and the error of the lowest-index failing slice is raised,
+    the one a serial loop would raise.
     """
     x = np.asarray(x, dtype=np.float64)
     low_rank = np.empty_like(x)
     sparse = np.empty_like(x)
-    iterations = 0
-    converged = True
-    with _one_blas_thread():
-        for i in range(x.shape[2]):
-            result = rpca_ialm(x[:, :, i], lam=lam, epsilon=epsilon, max_iter=max_iter)
+    num_slices = x.shape[2]
+    iterations = [0] * num_slices
+    converged = [True] * num_slices
+    errors = {}
+    todo = iter(range(num_slices))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(todo, None)
+            if i is None:
+                return
+            try:
+                result = rpca_ialm(x[:, :, i], lam=lam, epsilon=epsilon, max_iter=max_iter)
+            except BaseException as exc:  # raised by the caller below
+                with lock:
+                    errors[i] = exc
+                return
             low_rank[:, :, i] = result.low_rank
             sparse[:, :, i] = result.sparse
-            iterations = max(iterations, result.iterations)
-            converged = converged and result.converged
-    return RpcaResult(low_rank, sparse, iterations, converged)
+            iterations[i], converged[i] = result.iterations, result.converged
+
+    with _one_blas_thread():
+        workers = min(_usable_cpus(), num_slices)
+        threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+        for thread in threads:
+            thread.start()
+        work()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return RpcaResult(low_rank, sparse, max(iterations, default=0), all(converged))

@@ -32,6 +32,7 @@ same scratch, which is valid while only iterate advances the state; any
 other edit goes through dataclasses.replace, which drops it.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -74,9 +75,10 @@ class SolverConfig:
     ETA scales the initial dual step sizes, RHO grows them each pass,
     and MU_CAP_FACTOR bounds them at that multiple of their initial
     values. resolved raises ValueError naming the first bad parameter
-    and its value, NaN included, and the RPCA baseline resolves its lam,
-    epsilon and max_iter through it too, so both methods accept the same
-    values.
+    and its value, NaN and a non-integer r or max_iter included (Python
+    and numpy integers are accepted), and the RPCA baseline resolves its
+    lam, epsilon and max_iter through it too, so both methods accept the
+    same values.
     """
 
     r: int | None = None
@@ -92,6 +94,9 @@ class SolverConfig:
         r = min(m, n) if self.r is None else self.r
         lam = default_lam(m, n) if self.lam is None else self.lam
         cfg = replace(self, r=r, lam=lam)
+        for name in ("r", "max_iter"):
+            if not isinstance(getattr(cfg, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(cfg, name)}")
         if not 1 <= r <= min(m, n):
             raise ValueError(f"need 1 <= r <= min(m, n) = {min(m, n)}, got r={r}")
         for name in ("lam", "alpha", "epsilon"):

@@ -1,5 +1,8 @@
 """Matrix robust PCA baseline, its slice-wise form, and singular value thresholding."""
 
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -7,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kdrsdl import RpcaResult, rpca_ialm, rpca_slices, shrink, svt
+from kdrsdl import RpcaResult, rpca, rpca_ialm, rpca_slices, shrink, svt
+from kdrsdl.linalg import _one_blas_thread
 
 
 def test_svt_zero_threshold_identity():
@@ -127,8 +131,10 @@ def test_rpca_rejects_non_finite():
         ({"epsilon": np.nan}, "epsilon must be positive, got nan"),
         ({"lam": -1.0}, "lam must be positive, got -1.0"),
         ({"lam": np.nan}, "lam must be positive, got nan"),
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"max_iter": np.float64(3.0)}, "max_iter must be an integer, got 3.0"),
     ],
-    ids=["max-iter-0", "epsilon-0", "epsilon-nan", "lam-neg", "lam-nan"],
+    ids=["max-iter-0", "epsilon-0", "epsilon-nan", "lam-neg", "lam-nan", "max-iter-float", "max-iter-np-float"],
 )
 def test_rpca_rejects_bad_parameters(params, message):
     # checked before the all-zero shortcut, so a zero x is rejected too
@@ -223,3 +229,122 @@ def test_rpca_slices_matches_each_slice():
         np.testing.assert_array_equal(res.sparse[:, :, i], r.sparse)
     assert res.iterations == 32
     assert not res.converged
+
+
+def test_rpca_accepts_numpy_integer_passes():
+    x = np.random.default_rng(8).standard_normal((6, 5, 2))
+    res = rpca_slices(x, max_iter=np.int32(3))
+    assert res.iterations == 3
+    assert rpca_ialm(x[:, :, 0], max_iter=np.int64(3)).iterations == 3
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    num_slices=st.integers(1, 6),
+    zero_slice=st.integers(0, 6),
+    max_iter=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=8, n=8, num_slices=6, zero_slice=2, max_iter=40, seed=0)
+def test_rpca_slices_equals_the_serial_loop(m, n, num_slices, zero_slice, max_iter, seed, cpus):
+    # the slices run on min(cpus, N) threads; each slice's bits, its pass
+    # count and its convergence flag are those of rpca_ialm run on it alone
+    rng = np.random.default_rng(seed)
+    low = rng.standard_normal((m, 2, num_slices)).transpose(2, 0, 1) @ rng.standard_normal((2, n))
+    spikes = (rng.random((num_slices, m, n)) < 0.1) * 5.0
+    x = np.moveaxis(low + spikes, 0, 2)
+    if zero_slice < num_slices:
+        x[:, :, zero_slice] = 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rpca, "_usable_cpus", lambda: cpus)
+        res = rpca_slices(x, max_iter=max_iter)
+    with _one_blas_thread():
+        per_slice = [rpca_ialm(x[:, :, i], max_iter=max_iter) for i in range(num_slices)]
+    assert res.low_rank.tobytes() == np.stack([r.low_rank for r in per_slice], axis=2).tobytes()
+    assert res.sparse.tobytes() == np.stack([r.sparse for r in per_slice], axis=2).tobytes()
+    assert res.iterations == max(r.iterations for r in per_slice)
+    assert res.converged == all(r.converged for r in per_slice)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_rpca_slices_raises_the_first_failing_slice(cpus, monkeypatch):
+    # slice 1 overflows and slice 2 underflows: a serial loop stops at
+    # slice 1, and so must the threads, whichever slice fails first
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((12, 10, 3))
+    x[:, :, 1] *= 1e200
+    x[:, :, 2] *= 1e-200
+    started = []
+    ialm = rpca.rpca_ialm
+
+    def recording_ialm(data, **kwargs):
+        started.append(data[0, 0])
+        return ialm(data, **kwargs)
+
+    monkeypatch.setattr(rpca, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(rpca, "rpca_ialm", recording_ialm)
+    with pytest.raises(ValueError, match="norm of the input overflows"):
+        rpca_slices(x)
+    if cpus == 1:
+        # no slice starts after a failure
+        assert started == [x[0, 0, 0], x[0, 0, 1]]
+
+
+def test_rpca_slices_starts_no_slice_after_a_failure(monkeypatch):
+    # slice 0 runs on until slice 1 has failed on the other worker; the
+    # worker of slice 0 must then stop, as a serial loop would, and not
+    # take slice 2
+    failed = threading.Event()
+    started = []
+    ialm = rpca.rpca_ialm
+
+    def scripted_ialm(data, **kwargs):
+        i = int(data[0, 0])
+        started.append(i)
+        if i == 1:
+            failed.set()
+            raise np.linalg.LinAlgError("slice 1 fails")
+        if i == 0:
+            failed.wait(timeout=10)
+            time.sleep(0.1)  # for the failing worker to record its error
+        return ialm(data, **kwargs)
+
+    monkeypatch.setattr(rpca, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(rpca, "rpca_ialm", scripted_ialm)
+    x = np.ones((3, 2, 4)) * np.arange(4.0)  # slice i holds i
+    with pytest.raises(np.linalg.LinAlgError, match="slice 1 fails"):
+        rpca_slices(x)
+    assert sorted(started) == [0, 1]
+
+
+def test_rpca_slices_hands_out_each_slice_once(monkeypatch):
+    # more workers than cores and a short switch interval: a lost update
+    # of the slice counter would run a slice twice or skip one
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((6, 5, 24))
+    with _one_blas_thread():
+        expected = [rpca_ialm(x[:, :, i], max_iter=20) for i in range(24)]
+    started = []
+    ialm = rpca.rpca_ialm
+
+    def recording_ialm(data, **kwargs):
+        started.append(next(i for i in range(24) if np.array_equal(data, x[:, :, i])))
+        return ialm(data, **kwargs)
+
+    monkeypatch.setattr(rpca, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(rpca, "rpca_ialm", recording_ialm)
+    before = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = rpca_slices(x, max_iter=20)
+    finally:
+        sys.setswitchinterval(interval)
+    # every worker is joined before the call returns
+    assert set(threading.enumerate()) == before
+    assert sorted(started) == list(range(24))
+    assert res.low_rank.tobytes() == np.stack([r.low_rank for r in expected], axis=2).tobytes()
+    assert res.sparse.tobytes() == np.stack([r.sparse for r in expected], axis=2).tobytes()

@@ -70,6 +70,20 @@ def test_config_rejects_bad_values():
             SolverConfig(**{name: np.nan}).resolved(50, 40)
     with pytest.raises(ValueError, match="^alpha must be positive, got -1.0$"):
         SolverConfig(alpha=-1.0).resolved(50, 40)
+    for name in ("r", "max_iter"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+            SolverConfig(**{name: 2.5}).resolved(50, 40)
+
+
+def test_solve_names_a_non_integer_parameter():
+    x = np.random.default_rng(0).standard_normal((6, 5, 3))
+    for name in ("r", "max_iter"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+            solve(x, SolverConfig(**{name: 2.5}))
+    # numpy integers are integers
+    result = solve(x, SolverConfig(r=np.int64(2), max_iter=np.int32(3)))
+    assert result.a.shape == (6, 2)
+    assert result.iterations == 3
 
 
 @pytest.mark.parametrize("m, n", [(0, 40), (50, 0), (-1, 3)])
@@ -787,14 +801,23 @@ def test_solve_restores_caller_blas_threads(caller_threads, monkeypatch):
         solve(x, SolverConfig(r=3, max_iter=2))
         assert blas_threads() == [1] * len(BLAS)
     assert blas_threads() == [2] * len(BLAS)
-    # rpca_slices pins its slice loop the same way
+    # rpca_slices pins its slices the same way
     rpca_slices(x, max_iter=2)
     assert blas_threads() == [2] * len(BLAS)
     seen.clear()
     monkeypatch.setattr(rpca, "svt", failing_kernel)
     with pytest.raises(np.linalg.LinAlgError):
-        rpca_slices(x)
+        rpca_slices(x[:, :, :1])
     assert seen == [[1] * len(BLAS)]
+    assert blas_threads() == [2] * len(BLAS)
+    # on a stack, each slice already running when the first fails reaches
+    # the failing kernel, one per worker at most, and no further slice starts
+    seen.clear()
+    workers = min(rpca._usable_cpus(), x.shape[2])
+    with pytest.raises(np.linalg.LinAlgError):
+        rpca_slices(x)
+    assert 1 <= len(seen) <= workers
+    assert all(record == [1] * len(BLAS) for record in seen)
     assert blas_threads() == [2] * len(BLAS)
 
 
