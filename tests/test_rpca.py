@@ -134,7 +134,10 @@ def test_rpca_rejects_non_finite():
         ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
         ({"max_iter": np.float64(3.0)}, "max_iter must be an integer, got 3.0"),
     ],
-    ids=["max-iter-0", "epsilon-0", "epsilon-nan", "lam-neg", "lam-nan", "max-iter-float", "max-iter-np-float"],
+    ids=[
+        "max-iter-0", "epsilon-0", "epsilon-nan", "lam-neg", "lam-nan",
+        "max-iter-float", "max-iter-np-float",
+    ],
 )
 def test_rpca_rejects_bad_parameters(params, message):
     # checked before the all-zero shortcut, so a zero x is rejected too
@@ -244,7 +247,7 @@ def test_rpca_accepts_numpy_integer_passes():
     m=st.integers(1, 8),
     n=st.integers(1, 8),
     num_slices=st.integers(1, 6),
-    zero_slice=st.integers(0, 6),
+    zero_slice=st.integers(0, 6),  # no zero slice when it is >= num_slices
     max_iter=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
 )
