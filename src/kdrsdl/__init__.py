@@ -16,7 +16,7 @@ from .io import (
     write_image,
     write_tensor,
 )
-from .linalg import shrink, solve_gram_system, solve_stein, symmetric_eig, thin_svd
+from .linalg import shrink, solve_gram_system, solve_stein, symmetric_eig
 from .metrics import psnr, relative_error, roc_auc
 from .rpca import RpcaResult, rpca_ialm, rpca_slices, svt
 from .solver import (
@@ -68,7 +68,6 @@ __all__ = [
     "solve_stein",
     "svt",
     "symmetric_eig",
-    "thin_svd",
     "write_image",
     "write_tensor",
 ]

@@ -119,30 +119,6 @@ def solve_gram_system(target, gram):
     return (target @ q / d) @ q.T
 
 
-def thin_svd(x):
-    """Thin SVD with a deterministic sign convention, of a matrix or a stack.
-
-    x is one matrix or a stack of them with shape (..., m, n). Returns
-    (U, s, V) with x = U diag(s) V.T for each matrix, s nonincreasing
-    and nonnegative, and U, V having orthonormal columns. Each column of
-    U is flipped so its largest-magnitude entry is nonnegative, with V's
-    column adjusted to match, making the factors unique for distinct
-    singular values. A stack is factored by one np.linalg.svd call, and
-    each matrix's factors are bit-identical to factoring it alone.
-    """
-    if not np.isfinite(x).all():
-        raise ValueError("cannot compute the SVD of a non-finite matrix")
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    v = np.swapaxes(vt, -1, -2)
-    pivot = np.argmax(np.abs(u), axis=-2)[..., np.newaxis, :]
-    signs = np.sign(np.take_along_axis(u, pivot, axis=-2))
-    signs[signs == 0] = 1.0
-    # in place: a stack's factors are as large as the stack itself
-    u *= signs
-    v *= signs
-    return u, s, v
-
-
 @functools.cache
 def _openblas_controls():
     # (get, set) pairs of the OpenBLAS bundled with numpy, if this process

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import _one_blas_thread, shrink, solve_gram_system, solve_stein, thin_svd
+from .linalg import _one_blas_thread, shrink, solve_gram_system, solve_stein, symmetric_eig
 from .tensor import as_tensor, reconstruct, slice_norms
 
 TINY_DENOM = 1e-300
@@ -47,6 +47,10 @@ ZERO_NORM_WARNING = "zero-norm slices in the convergence denominators"
 ETA = 1.25
 RHO = 1.2
 MU_CAP_FACTOR = 1e7
+# the start weighs basis column j by (lam_j / lam_1)^START_WEIGHT_POWER; in
+# the sweep of ROADMAP.md's pooled-start item, 0.5 and 2.0 fail acceptance
+# criterion 4 and 1.5 takes the fewest decompose-100 passes of the rest
+START_WEIGHT_POWER = 1.5
 
 
 class SolverError(RuntimeError):
@@ -168,37 +172,53 @@ class Factorization:
         return reconstruct(self.core, self.a, self.b)
 
 
-def initialize(x, config):
-    """Build the starting state from the SVDs of the slices.
+def _start_basis(gram, r):
+    # the leading r eigenvectors q of a mode Gram, each with its largest-
+    # magnitude entry nonnegative, and their weights (lam_j / lam_1)^p
+    q, lam = symmetric_eig(gram)
+    lam, q = lam[: -r - 1 : -1], q[:, : -r - 1 : -1]
+    pivot = np.abs(q).argmax(axis=0)
+    q = q * np.where(q[pivot, np.arange(r)] < 0, -1.0, 1.0)
+    w = np.maximum(lam / lam[0], 0.0) ** START_WEIGHT_POWER if lam[0] > 0 else np.zeros(r)
+    return q, w
 
-    One thin_svd call factors the whole stack. Each slice contributes its
-    leading r left/right singular vectors to the means A and B, and its
-    leading singular values to a diagonal core slice. Columns belonging
-    to exactly-zero singular values are zeroed out. Initial step sizes
-    are ETA * N divided by the total slice norm of X (resp. of the core),
-    capped at MU_CAP_FACTOR times that. An x whose squared slice norms
-    overflow float64 raises SolverError at iteration 1, before any pass.
+
+def initialize(x, config):
+    """Build the starting state from the two mode Gram matrices of x.
+
+    A holds the leading r eigenvectors qa_j of sum_i X_i X_i.T, each with
+    its largest-magnitude entry nonnegative, weighted by (lam_j /
+    lam_1)^START_WEIGHT_POWER from their eigenvalues (0 where lam_j <= 0),
+    and B likewise from sum_i X_i.T X_i; neither Gram copies x. The core
+    and the split start diagonal, K_i[j, j] = qa_j.T X_i qb_j. Initial
+    step sizes are ETA * N divided by the total slice norm of X (resp. of
+    the core), capped at MU_CAP_FACTOR times that. An x whose squared norm
+    overflows float64 raises SolverError at iteration 1, before any pass.
     """
     x_norms = slice_norms(x)
-    if not np.isfinite(x_norms ** 2).all():
+    with np.errstate(over="ignore"):
+        overflows = not np.isfinite(np.sum(x_norms ** 2))
+    if overflows:
         raise SolverError(
             "iteration 1: the squared slice norms of the input overflow "
             "float64; rescale the data",
             1,
             np.zeros((0, 4)),
         )
-    num = x.shape[2]
+    m, n, num = x.shape
     r = config.r
-    u, s, v = thin_svd(x.transpose(2, 0, 1))
-    live = s[:, None, :r] != 0
-    # the sums run over the slices in order; the means are C-ordered like
-    # the bases a pass returns, since a basis's layout changes the
-    # rounding of the first pass
-    a = np.ascontiguousarray((u[..., :r] * live).sum(axis=0) / num)
-    b = np.ascontiguousarray((v[..., :r] * live).sum(axis=0) / num)
+    x1 = x.reshape(m, n * num, order="F")                # [X_1 ... X_N]
+    gram_b = np.zeros((n, n))
+    for xt in x.T:                                       # slices X_i.T
+        gram_b += xt @ xt.T
+    qa, wa = _start_basis(x1 @ x1.T, r)
+    qb, wb = _start_basis(gram_b, r)
     core = np.zeros((r, r, num), order="F")
     diag = np.arange(r)
-    core[diag, diag] = s[:, :r].T
+    core[diag, diag] = np.einsum("ikj,kj->ji", _project(x, qa), qb)
+    # the bases are C-ordered like those a pass returns, since a basis's
+    # layout changes the rounding of the first pass
+    a, b = np.ascontiguousarray(qa * wa), np.ascontiguousarray(qb * wb)
     x_total = x_norms.sum()
     core_total = slice_norms(core).sum()
     mu = ETA * num / x_total if x_total > 0 else ETA
@@ -311,6 +331,7 @@ def iterate(state, x, config):
         wa = _project(w, a)
         b = _basis_b(wa, state.split, a, mu)
         k = _split(wa, a, b, state.core, state.dual_split, mu, mu_k)
+        del wa  # freed before the rebuild below allocates its own intermediate
         core = _update_core(k, state.dual_split, mu_k, config.alpha)
     except np.linalg.LinAlgError as exc:
         state.scratch = None

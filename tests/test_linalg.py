@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdrsdl import shrink, solve_gram_system, solve_stein, symmetric_eig, thin_svd
+from kdrsdl import shrink, solve_gram_system, solve_stein, symmetric_eig
 
 
 def random_stein_problem(rng, r):
@@ -174,81 +174,6 @@ def test_solve_gram_system_rejects_nan():
     gram[1, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         solve_gram_system(np.eye(3), gram)
-
-
-def test_thin_svd_diagonal():
-    _, s, _ = thin_svd(np.diag([3.0, 1.0]))
-    np.testing.assert_allclose(s, [3.0, 1.0], atol=1e-14)
-
-
-def test_thin_svd_zero_matrix():
-    _, s, _ = thin_svd(np.zeros((3, 2)))
-    np.testing.assert_array_equal(s, np.zeros(2))
-
-
-def test_thin_svd_defining_properties():
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((6, 4))
-    u, s, v = thin_svd(x)
-    assert u.shape == (6, 4) and v.shape == (4, 4)
-    np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-10)
-    np.testing.assert_allclose(v.T @ v, np.eye(4), atol=1e-10)
-    assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-    recon = (u * s) @ v.T
-    assert np.linalg.norm(recon - x) <= 1e-10 * np.linalg.norm(x)
-
-
-def test_thin_svd_sign_convention():
-    for seed in range(10):
-        x = np.random.default_rng(seed).standard_normal((5, 3))
-        u, _, _ = thin_svd(x)
-        pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-        assert np.all(pivots >= 0)
-
-
-def test_thin_svd_deterministic():
-    x = np.random.default_rng(9).standard_normal((7, 5))
-    u1, s1, v1 = thin_svd(x)
-    u2, s2, v2 = thin_svd(x.copy())
-    assert u1.tobytes() == u2.tobytes()
-    assert s1.tobytes() == s2.tobytes()
-    assert v1.tobytes() == v2.tobytes()
-
-
-def test_thin_svd_rejects_non_finite():
-    bad = np.ones((2, 2))
-    bad[0, 0] = np.inf
-    with pytest.raises(ValueError):
-        thin_svd(bad)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    num=st.integers(1, 5),
-    m=st.integers(1, 7),
-    n=st.integers(1, 7),
-    seed=st.integers(0, 2**32 - 1),
-    kinds=st.lists(st.sampled_from(["full", "zero", "rank_one"]), min_size=5, max_size=5),
-)
-@example(num=1, m=1, n=1, seed=0, kinds=["full"] * 5)
-@example(num=3, m=2, n=5, seed=1, kinds=["zero", "full", "rank_one", "full", "full"])
-@example(num=3, m=6, n=3, seed=2, kinds=["rank_one", "zero", "full", "full", "full"])
-def test_thin_svd_of_a_stack_is_each_matrix_bit_for_bit(num, m, n, seed, kinds):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((num, m, n))
-    for i, kind in enumerate(kinds[:num]):
-        if kind == "zero":
-            x[i] = 0.0
-        elif kind == "rank_one":
-            x[i] = np.outer(rng.standard_normal(m), rng.standard_normal(n))
-    u, s, v = thin_svd(x)
-    k = min(m, n)
-    assert u.shape == (num, m, k) and s.shape == (num, k) and v.shape == (num, n, k)
-    for i in range(num):
-        ui, si, vi = thin_svd(x[i])
-        assert u[i].tobytes() == ui.tobytes()
-        assert s[i].tobytes() == si.tobytes()
-        assert v[i].tobytes() == vi.tobytes()
 
 
 def test_symmetric_eig_identity():
