@@ -40,7 +40,7 @@ from .io import (
 )
 from .metrics import psnr, relative_error, roc_auc
 from .rpca import rpca_slices
-from .solver import SolverConfig, SolverError, default_lam, solve
+from .solver import SolverConfig, SolverError, solve
 from .synthetic import PRNG_ALGORITHM, SyntheticSpec, density, generate
 
 
@@ -176,26 +176,22 @@ def cmd_bgsub(args):
     if len(mask_paths) != len(frame_paths):
         raise ValueError(f"{len(frame_paths)} frames but {len(mask_paths)} mask frames")
     x = read_image_stack(frame_paths)
-    masks = read_image_stack(mask_paths)
-    if masks.shape != x.shape:
-        raise ValueError(f"mask stack is {masks.shape}, frame stack is {x.shape}")
-    labels = (masks > 0.5).astype(np.int64)
+    labels = read_image_stack(mask_paths) > 0.5
+    if labels.shape != x.shape:
+        raise ValueError(f"mask stack is {labels.shape}, frame stack is {x.shape}")
     if labels.min() == labels.max():
         raise ValueError("masks contain a single class; cannot score a ranking")
     config = _solver_config(args, x.shape[0], x.shape[1])
+    scored = [i for i in range(x.shape[2]) if labels[:, :, i].min() != labels[:, :, i].max()]
+    if not scored:
+        raise ValueError("no frame has both foreground and background pixels")
     fac = solve(x, config)
     scores = np.abs(fac.outliers)
     # both stacks are in the canonical column-major layout: flatten without a copy
     auc_pooled = roc_auc(scores.reshape(-1, order="F"), labels.reshape(-1, order="F"))
-    per_frame = []
-    for i in range(x.shape[2]):
-        frame_labels = labels[:, :, i]
-        if frame_labels.min() == frame_labels.max():
-            continue
-        per_frame.append(roc_auc(scores[:, :, i].ravel(), frame_labels.ravel()))
-    if not per_frame:
-        raise ValueError("no frame has both foreground and background pixels")
-    auc_per_frame = float(np.mean(per_frame))
+    auc_per_frame = float(
+        np.mean([roc_auc(scores[:, :, i].ravel(), labels[:, :, i].ravel()) for i in scored])
+    )
     peak = scores.max()
     foreground = (
         (f"foreground_{i:03d}.pgm", scores[:, :, i] / peak if peak > 0 else scores[:, :, i])
@@ -207,7 +203,7 @@ def cmd_bgsub(args):
             "auc_pooled": auc_pooled,
             "auc_per_frame": auc_per_frame,
             "frames": x.shape[2],
-            "scored_frames": len(per_frame),
+            "scored_frames": len(scored),
             "iterations": fac.iterations,
             "converged": fac.converged,
         },
@@ -258,7 +254,7 @@ def cmd_denoise(args):
         recovered = [solve(n, c).low_rank() for n, c in zip(noisy, configs)]
         resolved = {}
     else:
-        lams = [default_lam(*n.shape[:2]) for n in noisy]
+        lams = [SolverConfig().resolved(*n.shape[:2]).lam for n in noisy]
         recovered = [rpca_slices(n, lam=lam).low_rank for n, lam in zip(noisy, lams)]
         configs, resolved = (), {"lam": _joined(lams)}
     values = {}

@@ -55,7 +55,7 @@ def svt(x, tau):
     return out.T if wide else out
 
 
-def rpca_ialm(x, lam=None, epsilon=1e-7, max_iter=1000):
+def rpca_ialm(x, lam=None, epsilon=SolverConfig.epsilon, max_iter=SolverConfig.max_iter):
     """Split x into low-rank plus sparse via inexact ALM.
 
     Alternates singular-value thresholding of the low-rank part,
@@ -110,7 +110,7 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def rpca_slices(x, lam=None, epsilon=1e-7, max_iter=1000):
+def rpca_slices(x, lam=None, epsilon=SolverConfig.epsilon, max_iter=SolverConfig.max_iter):
     """Run rpca_ialm on every frontal slice of an (m, n, N) stack.
 
     The result holds the stacked low-rank and sparse parts, the most

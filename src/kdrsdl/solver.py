@@ -62,17 +62,12 @@ class SolverError(RuntimeError):
         self.trace = trace
 
 
-def default_lam(m, n):
-    """The default sparsity weight 1/sqrt(max(m, n)) for an m x n matrix."""
-    return 1.0 / np.sqrt(max(m, n))
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver parameters, and the one check of them.
 
     r and lam default to None and are resolved against the data: r
-    becomes min(m, n) and lam becomes default_lam(m, n). alpha weights
+    becomes min(m, n) and lam becomes 1/sqrt(max(m, n)). alpha weights
     the core sparsity. Iteration stops when the worst-slice squared
     relative residuals of both constraints drop below epsilon, or at
     max_iter. The step-size schedule is fixed by the module constants:
@@ -96,7 +91,7 @@ class SolverConfig:
         if min(m, n) < 1:
             raise ValueError(f"slices must be at least 1 x 1, got {m} x {n}")
         r = min(m, n) if self.r is None else self.r
-        lam = default_lam(m, n) if self.lam is None else self.lam
+        lam = 1.0 / np.sqrt(max(m, n)) if self.lam is None else self.lam
         cfg = replace(self, r=r, lam=lam)
         for name in ("r", "max_iter"):
             if not isinstance(getattr(cfg, name), numbers.Integral):
@@ -446,27 +441,27 @@ def solve(x, config=None):
             x.shape[0], x.shape[1]
         )
         state = initialize(x, cfg)
-        trace = np.zeros((cfg.max_iter, 4))
+        rows = []
         converged = warned = False
         while not converged and state.iteration < cfg.max_iter:
             mu, mu_k = state.mu, state.mu_k
             try:
                 iterate(state, x, cfg)
             except SolverError as exc:
-                exc.trace = trace[: state.iteration].copy()
+                exc.trace = np.reshape(rows, (-1, 4))
                 raise
             errors = errors_of(state, x)
             if not (warned or (state.scratch.x_sq.all() and slice_norms(state.core).all())):
                 warnings.warn(ZERO_NORM_WARNING, RuntimeWarning, stacklevel=2)
                 warned = True
-            trace[state.iteration - 1] = (*errors, mu, mu_k)
+            rows.append((*errors, mu, mu_k))
             converged = max(errors) <= cfg.epsilon
         return Factorization(
             a=state.a,
             b=state.b,
             core=state.core,
             outliers=state.outliers,
-            trace=trace[: state.iteration].copy(),
+            trace=np.reshape(rows, (-1, 4)),
             converged=converged,
             iterations=state.iteration,
         )

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 import kdrsdl
 from kdrsdl import SolverConfig, SyntheticSpec, generate, read_tensor, write_image, write_tensor
+from kdrsdl import cli
 from kdrsdl.cli import build_parser, main
 from kdrsdl.io import BUNDLE_FILES, read_manifest, read_metrics
 
@@ -19,14 +21,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def write_video_fixture(frame_dir, mask_dir):
-    """Rank-one background with a bright square walking across it."""
-    h, w, num = 24, 32, 8
+def write_video_fixture(frame_dir, mask_dir, h=24, w=32, num=8):
+    """Rank-one background with a bright square walking across it, wrapping at the edges."""
     background = np.outer(np.linspace(0.2, 0.8, h), np.linspace(0.3, 0.9, w))
     for i in range(num):
         frame = background.copy()
         mask = np.zeros((h, w))
-        r0, c0 = 4 + i, 2 + 3 * i
+        r0, c0 = 4 + i % (h - 10), (2 + 3 * i) % (w - 6)
         frame[r0:r0 + 6, c0:c0 + 6] = 1.0
         mask[r0:r0 + 6, c0:c0 + 6] = 1.0
         write_image(frame_dir / f"frame_{i:03d}.pgm", frame)
@@ -359,12 +360,17 @@ def split_classes_by_frame(masks):
         (split_classes_by_frame, "*.pgm", "no frame has both"),
     ],
 )
-def test_bgsub_usage_errors(tmp_path, capsys, edit, frames_glob, message):
+def test_bgsub_usage_errors(tmp_path, capsys, monkeypatch, edit, frames_glob, message):
     frames, masks = tmp_path / "frames", tmp_path / "masks"
     frames.mkdir(), masks.mkdir()
     write_video_fixture(frames, masks)
     if edit is not None:
         edit(masks)
+
+    def no_solve(*args):
+        raise AssertionError("a usage error must be raised before the solve")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
     rc = run("bgsub", "--frames", frames / frames_glob, "--mask-frames", masks / "*.pgm",
              "--r", 1, "--out-dir", tmp_path / "o")
     assert rc == 2
@@ -383,6 +389,25 @@ def test_bgsub_skips_single_class_frames_in_the_per_frame_auc(tmp_path):
     metrics = read_metrics(out / "metrics.csv")
     assert metrics["frames"] == 8.0
     assert metrics["scored_frames"] == 7.0
+
+
+def test_bgsub_holds_no_mask_stack_through_the_solve(tmp_path):
+    # the labels are one boolean stack: a float64 mask stack, or an integer
+    # copy of it, kept alive through the solve adds a frame stack's bytes each
+    frames, masks = tmp_path / "frames", tmp_path / "masks"
+    frames.mkdir(), masks.mkdir()
+    h, w, num = 48, 64, 60
+    write_video_fixture(frames, masks, h, w, num)
+    argv = ["bgsub", "--frames", frames / "*.pgm", "--mask-frames", masks / "*.pgm", "--r", 1]
+    assert run(*argv, "--out-dir", tmp_path / "warm") == 0
+    tracemalloc.start()
+    try:
+        rc = run(*argv, "--out-dir", tmp_path / "run")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 6 * (h * w * num * 8)
 
 
 def test_denoise_clean_images_pass_through(tmp_path):

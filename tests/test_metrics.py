@@ -103,6 +103,7 @@ def test_roc_auc_matches_rankdata_bit_for_bit(pairs):
     labels = [y for _, y in pairs]
     assume(len(set(labels)) == 2)
     assert roc_auc(scores, labels) == rankdata_auc(scores, labels)
+    assert roc_auc(scores, np.array(labels, dtype=bool)) == rankdata_auc(scores, labels)
 
 
 def test_roc_auc_nan_score_propagates():

@@ -86,6 +86,15 @@ def test_solve_names_a_non_integer_parameter():
     assert result.iterations == 3
 
 
+def test_trace_grows_with_the_passes_not_with_max_iter():
+    # a trace sized by max_iter up front cannot even be allocated at 2**62
+    x, _ = generate(SyntheticSpec(12, 10, 4, 2, 2, 3, 0.7, 0))
+    fac = solve(x, SolverConfig(r=3, max_iter=2**62))
+    assert fac.converged
+    assert fac.trace.shape == (fac.iterations, 4)
+    assert fac.trace.tobytes() == solve(x, SolverConfig(r=3)).trace.tobytes()
+
+
 @pytest.mark.parametrize("m, n", [(0, 40), (50, 0), (-1, 3)])
 def test_config_names_empty_slices_before_the_core_size(m, n):
     for config in (SolverConfig(), SolverConfig(r=1)):
@@ -478,8 +487,9 @@ def test_solver_error_trace_holds_the_passes_before_the_failure(monkeypatch):
     full = solve(x, SolverConfig(r=3))
     fail_stein_at_pass_3(monkeypatch)
     with pytest.raises(solver.SolverError) as info:
-        solve(x, SolverConfig(r=3))
+        solve(x, SolverConfig(r=3, max_iter=2**62))
     assert info.value.iteration == 3
+    assert info.value.trace.shape == (2, 4)
     assert info.value.trace.tobytes() == full.trace[:2].tobytes()
 
 
