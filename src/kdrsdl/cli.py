@@ -16,7 +16,7 @@ command resolved from them, then the resolved solver configuration as
 config.* in place of the raw solver flags. A run can therefore be rerun
 with the manifest's parameters. Exit codes: 0 on success, 1 when the
 solver fails, 2 for usage errors (bad flags, missing or malformed
-inputs).
+inputs, or a path the operating system refuses).
 """
 
 import argparse
@@ -231,21 +231,16 @@ def cmd_denoise(args):
     if not paths:
         raise ValueError(f"no images match {args.images!r}")
     images = [read_image(p) for p in paths]
-    kinds = {img.ndim for img in images}
-    if len(kinds) > 1:
+    gray = images[0].ndim == 2
+    if any(img.ndim != images[0].ndim for img in images):
         raise ValueError("cannot mix grayscale and color images in one run")
+    if gray and any(img.shape != images[0].shape for img in images):
+        raise ValueError("grayscale images must share dimensions")
+    # grayscale frames form one stack and are denoised jointly, so the
+    # shared bases see every image; a lone frame has no such support.
+    # Each color image is its own three-slice stack, channel per slice
+    clean = [np.stack(images, axis=2)] if gray else images
     rng = np.random.default_rng(args.seed)
-    if kinds == {2}:
-        # grayscale frames form one stack and are denoised jointly, so the
-        # shared bases see every image; a lone frame has no such support
-        if any(img.shape != images[0].shape for img in images):
-            raise ValueError("grayscale images must share dimensions")
-        clean = [np.stack(images, axis=2)]
-        ext = "pgm"
-    else:
-        # each color image is its own three-slice stack, channel per slice
-        clean = images
-        ext = "ppm"
     noisy = [_corrupt(c, args.noise_level, rng) for c in clean]
     if args.method == "kdrsdl":
         # heavier corruption needs a stronger pull toward a sparse core
@@ -257,30 +252,25 @@ def cmd_denoise(args):
         lams = [SolverConfig().resolved(*n.shape[:2]).lam for n in noisy]
         recovered = [rpca_slices(n, lam=lam).low_rank for n, lam in zip(noisy, lams)]
         configs, resolved = (), {"lam": _joined(lams)}
-    values = {}
-    psnrs_in, psnrs_out = [], []
-    files = []
-    idx = 0
-    for c, n, rec in zip(clean, noisy, recovered):
-        rec = np.clip(rec, 0.0, 1.0)
-        if ext == "pgm":
-            items = [(c[:, :, i], n[:, :, i], rec[:, :, i]) for i in range(n.shape[2])]
-        else:
-            items = [(c, n, rec)]
-        for c_img, n_img, r_img in items:
-            files.append((f"corrupted_{idx:03d}.{ext}", n_img))
-            files.append((f"recovered_{idx:03d}.{ext}", r_img))
-            p_in = psnr(n_img, c_img, peak=1.0)
-            p_out = psnr(r_img, c_img, peak=1.0)
-            values[f"image_{idx:03d}_psnr_input"] = p_in
-            values[f"image_{idx:03d}_psnr"] = p_out
-            psnrs_in.append(p_in)
-            psnrs_out.append(p_out)
-            idx += 1
+
+    def split(stacks):
+        # the images of the stacks: each grayscale slice, or each color stack whole
+        return [s[:, :, i] for s in stacks for i in range(s.shape[2])] if gray else stacks
+
+    recovered = [np.clip(rec, 0.0, 1.0) for rec in recovered]
+    triples = list(zip(split(clean), split(noisy), split(recovered)))
+    ext = "pgm" if gray else "ppm"
+    values, files, psnrs_in, psnrs_out = {}, [], [], []
+    for i, (c, n, rec) in enumerate(triples):
+        files += [(f"corrupted_{i:03d}.{ext}", n), (f"recovered_{i:03d}.{ext}", rec)]
+        psnrs_in.append(psnr(n, c, peak=1.0))
+        psnrs_out.append(psnr(rec, c, peak=1.0))
+        values[f"image_{i:03d}_psnr_input"] = psnrs_in[-1]
+        values[f"image_{i:03d}_psnr"] = psnrs_out[-1]
     values["mean_psnr_input"] = float(np.mean(psnrs_in))
     values["mean_psnr"] = float(np.mean(psnrs_out))
     _write_run(args, values, configs, arrays=files, images=";".join(paths), **resolved)
-    print(f"mean psnr: {values['mean_psnr']:.2f} dB over {idx} images")
+    print(f"mean psnr: {values['mean_psnr']:.2f} dB over {len(triples)} images")
     return 0
 
 
@@ -378,12 +368,14 @@ def main(argv=None):
         return args.func(args)
     except FileNotFoundError as exc:
         error = f"{exc.filename if exc.filename else exc}: file not found"
+    except OSError as exc:
+        error = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
     except ValueError as exc:
         error = exc
     except SolverError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1
-    # the one usage-error path: cmd_* functions raise ValueError
+    # the one usage-error path: cmd_* functions raise ValueError or OSError
     print(f"error: {error}", file=sys.stderr)
     return 2
 

@@ -162,6 +162,25 @@ def test_decompose_missing_input(tmp_path, capsys):
     assert "absent.kdt" in err and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["decompose", "--input", ".", "--out-dir", "o"], "."),
+        (["decompose", "--input", "x.kdt", "--out-dir", "x.kdt"], "x.kdt"),
+        (["bgsub", "--frames", "d.pgm", "--mask-frames", "d.pgm", "--out-dir", "o"], "d.pgm"),
+    ],
+    ids=["input-is-a-directory", "out-dir-is-a-file", "frame-is-a-directory"],
+)
+def test_paths_the_os_refuses_are_usage_errors(tmp_path, monkeypatch, capsys, argv, refused):
+    monkeypatch.chdir(tmp_path)
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    write_tensor(tmp_path / "x.kdt", x)
+    (tmp_path / "d.pgm").mkdir()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {refused}: ") and "Traceback" not in err
+
+
 def test_decompose_bad_magic(tmp_path, capsys):
     src = tmp_path / "x.kdt"
     src.write_bytes(b"NOPE" + bytes(20))
@@ -410,6 +429,14 @@ def test_bgsub_holds_no_mask_stack_through_the_solve(tmp_path):
     assert peak < 6 * (h * w * num * 8)
 
 
+def assert_mean_psnrs(metrics, count):
+    """The mean PSNRs of a denoise run are the means of its per-image values."""
+    for suffix in ("_psnr_input", "_psnr"):
+        per_image = [metrics[f"image_{i:03d}{suffix}"] for i in range(count)]
+        assert f"image_{count:03d}{suffix}" not in metrics
+        assert metrics[f"mean{suffix}"] == np.mean(per_image)
+
+
 def test_denoise_clean_images_pass_through(tmp_path):
     images = tmp_path / "images"
     images.mkdir()
@@ -421,6 +448,9 @@ def test_denoise_clean_images_pass_through(tmp_path):
     metrics = read_metrics(out / "metrics.csv")
     assert metrics["mean_psnr"] >= 60.0
     assert metrics["mean_psnr_input"] == float("inf")
+    assert_mean_psnrs(metrics, 6)
+    for i, path in enumerate(sorted(images.glob("*.pgm"))):
+        assert (out / f"corrupted_{i:03d}.pgm").read_bytes() == path.read_bytes()
 
 
 def test_denoise_restores_impulse_noise(tmp_path):
@@ -461,7 +491,11 @@ def test_denoise_color_images(tmp_path):
     assert rc == 0
     metrics = read_metrics(out / "metrics.csv")
     assert metrics["mean_psnr"] > metrics["mean_psnr_input"]
-    assert (out / "recovered_001.ppm").is_file()
+    assert_mean_psnrs(metrics, 2)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "corrupted_000.ppm", "corrupted_001.ppm", "manifest.json", "metrics.csv",
+        "recovered_000.ppm", "recovered_001.ppm",
+    ]
 
 
 def test_denoise_rpca_method(tmp_path):

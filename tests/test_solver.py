@@ -804,6 +804,17 @@ def test_overflowing_input_names_the_overflow_without_numpy_warnings():
     assert info.value.trace.shape == (0, 4)
 
 
+@pytest.mark.parametrize("c", [1e80, 1e150])
+def test_large_accepted_input_solves_without_numpy_warnings(c):
+    # the Gram matrices' entries pass 1e154 here, where a Frobenius norm of
+    # them overflows; the symmetry check must not take one
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fac = solve(c * x, SolverConfig(r=3))
+    assert fac.converged
+
+
 def test_initialize_rejects_overflowing_input():
     # a hand-stepped solve meets the same check as solve: without it the
     # step sizes start at 0 and the first pass divides by them
