@@ -39,7 +39,7 @@ from .io import (
     write_tensor,
 )
 from .metrics import psnr, relative_error, roc_auc
-from .rpca import rpca_slices
+from .rpca import EPSILON, rpca_slices
 from .solver import SolverConfig, SolverError, solve
 from .synthetic import PRNG_ALGORITHM, SyntheticSpec, density, generate
 
@@ -292,7 +292,7 @@ _SOLVER_FLAGS = {
     "r": ("--r", int, "core size (default min(m, n))"),
     "lam": ("--lambda", float, "outlier weight (default 1/sqrt(max(m, n)))"),
     "alpha": ("--alpha", float, "core sparsity weight"),
-    "epsilon": ("--epsilon", float, "stopping tolerance"),
+    "epsilon": ("--epsilon", float, "worst-slice squared relative residual to stop at (default %(default)s)"),
     "max_iter": ("--max-iter", int, "iteration cap"),
 }
 
@@ -334,7 +334,7 @@ def build_parser():
     p.add_argument("--input", required=True, help="input .kdt tensor")
     _add_solver_flags(p, "lam", "epsilon", "max_iter")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_rpca)
+    p.set_defaults(func=cmd_rpca, epsilon=EPSILON)
 
     p = sub.add_parser("bgsub", help="foreground scoring on a frame stack")
     p.add_argument("--frames", required=True, help="glob of grayscale PGM frames")

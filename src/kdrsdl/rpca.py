@@ -14,9 +14,9 @@ from .linalg import _one_blas_thread, shrink
 from .solver import SolverConfig
 
 
-# the smallest Frobenius norm whose square is a normal float64: below it the
-# norms of x and of the residual lose precision, and the stopping rule with them
-_NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
+# the default stopping tolerance on the squared relative residual: the square
+# of Lin, Chen and Ma's 1e-7 on the unsquared one, which it reproduces
+EPSILON = 1e-14
 
 
 @dataclass
@@ -55,52 +55,49 @@ def svt(x, tau):
     return out.T if wide else out
 
 
-def rpca_ialm(x, lam=None, epsilon=SolverConfig.epsilon, max_iter=SolverConfig.max_iter):
-    """Split x into low-rank plus sparse via inexact ALM.
+def rpca_ialm(x, lam=None, epsilon=EPSILON, max_iter=SolverConfig.max_iter):
+    """Split the matrix x into low-rank plus sparse via inexact ALM.
 
     Alternates singular-value thresholding of the low-rank part,
     shrinkage of the sparse part, and a dual ascent step with growing
-    step size, until ||X - A - E||_F / ||X||_F falls below epsilon.
-    SolverConfig.resolved checks lam, epsilon and max_iter as it does for
-    solve, and lam defaults to 1/sqrt(max(m, n)): a bad value or an empty
-    x raises ValueError. An all-zero x splits into zeros in 0 passes. A
-    nonzero x whose squared Frobenius norm overflows float64, or
-    underflows below its smallest normal number, raises ValueError.
+    step size, until SolverConfig.stops finds the squared relative
+    residual ||X - A - E||_F^2 / ||X||_F^2 at most epsilon. lam, epsilon
+    and max_iter are checked as for solve, and lam defaults to
+    1/sqrt(max(m, n)): a bad value, a non-matrix or an empty x raises
+    ValueError. An all-zero x splits into zeros in 0 passes. Any other x
+    whose squared norm overflows or is subnormal raises ValueError.
 
     Step-size schedule: mu starts at 1.25 / sigma_1(X), grows by 1.5
     each pass, and is capped at 1e7 times its initial value.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={x.ndim}")
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite entries")
-    m, n = x.shape
-    lam = SolverConfig(lam=lam, epsilon=epsilon, max_iter=max_iter).resolved(m, n).lam
+    cfg = SolverConfig(lam=lam, epsilon=epsilon, max_iter=max_iter).resolved(*x.shape)
     with np.errstate(over="ignore"):
-        x_norm = np.linalg.norm(x)
-    if np.isinf(x_norm):
+        x_sq = np.linalg.norm(x) ** 2
+    if np.isinf(x_sq):
         raise ValueError("the Frobenius norm of the input overflows float64; rescale the data")
     if not x.any():
         return RpcaResult(np.zeros_like(x), np.zeros_like(x), 0, True)
-    if x_norm < _NORM_FLOOR:
+    if x_sq < np.finfo(np.float64).tiny:
         raise ValueError("the Frobenius norm of the input underflows float64; rescale the data")
     mu = 1.25 / np.linalg.norm(x, 2)
     mu_cap = mu * 1e7
     rho = 1.5
-    low = np.zeros_like(x)
     sparse = np.zeros_like(x)
     dual = np.zeros_like(x)
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, cfg.max_iter + 1):
         low = svt(x - sparse + dual / mu, 1.0 / mu)
-        sparse = shrink(x - low + dual / mu, lam / mu)
+        sparse = shrink(x - low + dual / mu, cfg.lam / mu)
         resid = x - low - sparse
         dual += mu * resid
         mu = min(mu_cap, rho * mu)
-        if np.linalg.norm(resid) / x_norm <= epsilon:
-            converged = True
-            break
-    return RpcaResult(low, sparse, it, converged)
+        if cfg.stops(np.linalg.norm(resid) ** 2 / x_sq):
+            return RpcaResult(low, sparse, it, True)
+    return RpcaResult(low, sparse, it, False)
 
 
 def _usable_cpus():
@@ -110,11 +107,13 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def rpca_slices(x, lam=None, epsilon=SolverConfig.epsilon, max_iter=SolverConfig.max_iter):
+def rpca_slices(x, lam=None, epsilon=EPSILON, max_iter=SolverConfig.max_iter):
     """Run rpca_ialm on every frontal slice of an (m, n, N) stack.
 
     The result holds the stacked low-rank and sparse parts, the most
-    passes any slice took, and whether every slice converged.
+    passes any slice took, and whether every slice converged: each slice
+    stops on its own, so the stack stops on its worst slice, as in solve.
+    An x that is not 3-way or is empty raises ValueError, as in solve.
 
     The slices are independent, so min(usable CPUs, N) threads, the
     calling thread among them, take them in index order and write each
@@ -129,6 +128,10 @@ def rpca_slices(x, lam=None, epsilon=SolverConfig.epsilon, max_iter=SolverConfig
     the one a serial loop would raise.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise ValueError(f"expected a 3-way tensor, got ndim={x.ndim}")
+    if x.size == 0:
+        raise ValueError(f"tensor has an empty dimension: shape={x.shape}")
     low_rank = np.empty_like(x)
     sparse = np.empty_like(x)
     num_slices = x.shape[2]
@@ -164,4 +167,4 @@ def rpca_slices(x, lam=None, epsilon=SolverConfig.epsilon, max_iter=SolverConfig
             thread.join()
     if errors:
         raise errors[min(errors)]
-    return RpcaResult(low_rank, sparse, max(iterations, default=0), all(converged))
+    return RpcaResult(low_rank, sparse, max(iterations), all(converged))

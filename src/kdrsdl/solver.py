@@ -68,16 +68,16 @@ class SolverConfig:
 
     r and lam default to None and are resolved against the data: r
     becomes min(m, n) and lam becomes 1/sqrt(max(m, n)). alpha weights
-    the core sparsity. Iteration stops when the worst-slice squared
-    relative residuals of both constraints drop below epsilon, or at
-    max_iter. The step-size schedule is fixed by the module constants:
-    ETA scales the initial dual step sizes, RHO grows them each pass,
-    and MU_CAP_FACTOR bounds them at that multiple of their initial
-    values. resolved raises ValueError naming the first bad parameter
-    and its value, NaN and a non-integer r or max_iter included (Python
-    and numpy integers are accepted), and the RPCA baseline resolves its
-    lam, epsilon and max_iter through it too, so both methods accept the
-    same values.
+    the core sparsity. A solve stops at max_iter or once stops finds
+    every worst-slice squared relative residual at most epsilon, as the
+    RPCA baseline does with its default rpca.EPSILON. The step-size
+    schedule is fixed by the module constants: ETA scales the initial
+    dual step sizes, RHO grows them each pass, and MU_CAP_FACTOR bounds
+    them at that multiple of their initial values. resolved raises
+    ValueError naming the first bad parameter and its value, NaN and a
+    non-integer r or max_iter included (Python and numpy integers are
+    accepted), and the RPCA baseline resolves its lam, epsilon and
+    max_iter through it too, so both methods accept the same values.
     """
 
     r: int | None = None
@@ -104,6 +104,10 @@ class SolverConfig:
         if not cfg.max_iter >= 1:
             raise ValueError(f"max_iter must be positive, got {cfg.max_iter}")
         return cfg
+
+    def stops(self, *ratios):
+        """Whether the worst of the squared relative residuals is at most epsilon."""
+        return max(ratios) <= self.epsilon
 
 
 @dataclass
@@ -414,9 +418,9 @@ def lagrangian(state, x, config):
 def solve(x, config=None):
     """Decompose x into a low-rank part plus sparse outliers.
 
-    Runs initialize followed by passes of iterate until the worst-slice
-    squared relative residuals of both constraints drop below
-    config.epsilon, or max_iter passes. Deterministic given (x, config).
+    Runs initialize followed by passes of iterate until config.stops
+    finds both constraints' worst-slice squared relative residuals at
+    most epsilon, or max_iter passes. Deterministic given (x, config).
     Non-convergence is reported through Factorization.converged, not an
     error; numerical failures raise SolverError with the partial trace
     attached, as does an x whose squared slice norms overflow float64,
@@ -455,7 +459,7 @@ def solve(x, config=None):
                 warnings.warn(ZERO_NORM_WARNING, RuntimeWarning, stacklevel=2)
                 warned = True
             rows.append((*errors, mu, mu_k))
-            converged = max(errors) <= cfg.epsilon
+            converged = cfg.stops(*errors)
         return Factorization(
             a=state.a,
             b=state.b,

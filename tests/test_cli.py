@@ -285,6 +285,8 @@ def test_rpca_command(tmp_path):
     manifest = read_manifest(out / "manifest.json")
     assert manifest["command"] == "rpca"
     assert manifest["lam"] == 1.0 / np.sqrt(20)
+    # the baseline's own default: the squared form of its former 1e-7
+    assert manifest["epsilon"] == 1e-14
 
 
 def test_eval_golden_output(tmp_path):

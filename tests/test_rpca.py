@@ -10,7 +10,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kdrsdl import RpcaResult, rpca, rpca_ialm, rpca_slices, shrink, svt
+from kdrsdl import (
+    RpcaResult,
+    SolverConfig,
+    SyntheticSpec,
+    generate,
+    rpca,
+    rpca_ialm,
+    rpca_slices,
+    shrink,
+    solve,
+    svt,
+)
 from kdrsdl.linalg import _one_blas_thread
 
 
@@ -191,10 +202,57 @@ def test_rpca_residual_meets_tolerance_at_convergence():
     low = np.outer(rng.standard_normal(25), rng.standard_normal(18))
     mask = rng.random((25, 18)) < 0.1
     x = low + mask * rng.standard_normal((25, 18)) * 5
-    res = rpca_ialm(x, epsilon=1e-6)
+    # epsilon bounds the squared ratio: 1e-12 is a residual of 1e-6 relative
+    res = rpca_ialm(x, epsilon=1e-12)
     assert res.converged
     resid = np.linalg.norm(x - res.low_rank - res.sparse)
-    assert resid <= 1e-6 * np.linalg.norm(x)
+    assert resid**2 <= 1e-12 * np.linalg.norm(x) ** 2
+
+
+def _run_loop(loop, x, epsilon, max_iter):
+    # (converged, passes, q), where q is the squared relative residual the
+    # last pass left: the worst slice's and constraint's for solve, and for
+    # the baseline the ratio recomputed from its outputs on the first slice
+    if loop == "solve":
+        fac = solve(x, SolverConfig(r=3, epsilon=epsilon, max_iter=max_iter))
+        return fac.converged, fac.iterations, max(fac.trace[-1, :2])
+    x = x[:, :, 0]
+    res = rpca_ialm(x, epsilon=epsilon, max_iter=max_iter)
+    resid = x - res.low_rank - res.sparse
+    return res.converged, res.iterations, np.linalg.norm(resid) ** 2 / np.linalg.norm(x) ** 2
+
+
+@pytest.mark.parametrize("loop", ["solve", "rpca_ialm"])
+def test_rpca_and_solve_stop_on_one_residual(loop):
+    # both loops stop on the same quantity by the same test: after k passes
+    # whose last left q, epsilon = q stops the loop at exactly pass k, and
+    # the float just below q does not stop it within k passes
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    k = 9
+    converged, passes, q = _run_loop(loop, x, 1e-300, k)
+    assert (converged, passes) == (False, k)
+    assert _run_loop(loop, x, q, 1000) == (True, k, q)
+    assert _run_loop(loop, x, np.nextafter(q, 0), k) == (False, k, q)
+
+
+@pytest.mark.parametrize(
+    "split, shape, message",
+    [
+        (rpca_slices, (3, 4, 0), r"tensor has an empty dimension: shape=\(3, 4, 0\)"),
+        (rpca_slices, (0, 4, 2), r"tensor has an empty dimension: shape=\(0, 4, 2\)"),
+        (rpca_slices, (3, 4), "expected a 3-way tensor, got ndim=2"),
+        (rpca_ialm, (3, 4, 2), "expected a matrix, got ndim=3"),
+        (rpca_ialm, (5,), "expected a matrix, got ndim=1"),
+    ],
+    ids=["empty-stack", "empty-slices", "slices-of-a-matrix", "matrix-of-a-stack", "matrix-of-a-vector"],
+)
+def test_rpca_refuses_inputs_solve_refuses(split, shape, message):
+    # the stacks solve refuses, the baseline refuses in as_tensor's words
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        split(np.ones(shape))
+    if split is rpca_slices:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve(np.ones(shape))
 
 
 def test_rpca_reports_nonconvergence():
