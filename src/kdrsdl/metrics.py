@@ -25,7 +25,9 @@ def roc_auc(scores, labels):
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise ValueError(f"got {scores.size} scores for {labels.size} labels")
-    if not np.isin(labels, (0, 1)).all():
+    # bool labels are 0 or 1 by their dtype; others are compared, since
+    # np.isin allocates more than the scores take
+    if labels.dtype != bool and not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
     n_pos = int(np.count_nonzero(labels == 1))
     n_neg = labels.size - n_pos

@@ -23,12 +23,15 @@ into the next pass, whose E and W both come from v = mu D + Lambda with
 no rebuild, and its P = mu (D - E) gives the residual check in the r x r
 frame of the core, also with no rebuild.
 
-iterate advances one SolverState in place: it overwrites E and Lambda,
-and every data-sized intermediate lives in two scratch buffers kept on
-the state from pass to pass. A solve therefore holds one state and at
-most five data-sized arrays (X, E, Lambda and the two buffers), and no
-pass after the first allocates one. errors_of(state, x) reads P from the
-same scratch, which is valid while only iterate advances the state; any
+The data-sized work of a pass is two sweeps over blocks of slices that
+stay in cache: the first makes E and W, the second the rebuild, D, P,
+the dual step and the check's sums over P. The products with W between
+them run on the whole stack, as the A target sums over every slice.
+iterate advances one SolverState in place, overwriting E and Lambda,
+with W over D and v and P in one block buffer, so a solve holds four
+data-sized arrays (X, E, Lambda and D) and no pass after the first
+allocates one. errors_of(state, x) reads the sums from the scratch kept
+on the state, which is valid while only iterate advances the state; any
 other edit goes through dataclasses.replace, which drops it.
 """
 
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import _one_blas_thread, shrink, solve_gram_system, solve_stein, symmetric_eig
-from .tensor import as_tensor, reconstruct, slice_norms
+from .tensor import as_tensor, mode_product, reconstruct, slice_norms
 
 TINY_DENOM = 1e-300
 ZERO_NORM_WARNING = "zero-norm slices in the convergence denominators"
@@ -51,6 +54,10 @@ MU_CAP_FACTOR = 1e7
 # the sweep of ROADMAP.md's pooled-start item, 0.5 and 2.0 fail acceptance
 # criterion 4 and 1.5 takes the fewest decompose-100 passes of the rest
 START_WEIGHT_POWER = 1.5
+# a pass sweeps the data in blocks of BLOCK_BYTES // (8 m n) slices (at
+# least one): a block of each of the five operands of a sweep then stays
+# in a 2 MB L2 cache, and 256 KB measured fastest of 128 KB to 1 MB
+BLOCK_BYTES = 1 << 18
 
 
 class SolverError(RuntimeError):
@@ -112,16 +119,24 @@ class SolverConfig:
 
 @dataclass
 class _Scratch:
-    # The two data-sized buffers a solve reuses on every pass, built for
-    # one x, with x_sq its squared slice norms. Between passes d holds
-    # D = X - a K b.T for the state's factors and free holds P = mu (D - E)
-    # for the step size mu of the pass that left it; the next pass
-    # overwrites free.
+    # The data-sized buffer d and the block-sized buffer block a solve
+    # reuses on every pass, built for one x, with x_sq its squared slice
+    # norms. Between passes d holds D = X - a K b.T for the state's factors,
+    # and p_sq and cross hold ||P_i||^2 and b.T P_i.T a for P = mu (D - E)
+    # at the step size mu of the pass that left them.
     x: np.ndarray
     x_sq: np.ndarray
     d: np.ndarray
-    free: np.ndarray
+    block: np.ndarray
+    p_sq: np.ndarray
+    cross: np.ndarray
     mu: float = 1.0
+
+    def blocks(self):
+        # (slice range of each block, the block buffer cut to its length)
+        num, step = self.x.shape[2], self.block.shape[2]
+        for s in range(0, num, step):
+            yield slice(s, s + step), self.block[..., : min(step, num - s)]
 
 
 @dataclass
@@ -259,6 +274,11 @@ def _project(w, a):
     return (w.T.reshape(num * n, m) @ a).reshape(num, n, -1)
 
 
+def _residual_terms(p, a, b):
+    # ||P_i||_F^2 and b.T @ P_i.T @ a for every slice of P, stacked (N, r, r)
+    return slice_norms(p) ** 2, b.T @ _project(p, a)
+
+
 def _gram(stack, g):
     # sum_i S_i.T @ g @ S_i over a (N, p, r) stack, g symmetric, as one GEMM
     num, p, r = stack.shape
@@ -306,26 +326,37 @@ def iterate(state, x, config):
 
     The pass assigns every iterate and the pass count on state, and
     overwrites E and Lambda in their arrays; dual_split gets a new array,
-    as states made with replace share it. The scratch buffers stay on
-    state and carry D = X - a K b.T to the next pass, which must be given
-    the same x.
+    as states made with replace share it. The scratch stays on state and
+    carries D = X - a K b.T to the next pass, which must be given the same
+    x.
 
     E and W = mu (X - E) + Lambda are computed together from D and
-    Lambda, and the projection W_i.T @ A feeds both the B update and the
-    split update. Numerical failures in the basis or split updates are
-    re-raised as SolverError carrying the pass number, and drop the
-    scratch, whose D the pass has overwritten with W.
+    Lambda in one sweep over slice blocks, and the projection W_i.T @ A
+    feeds both the B update and the split update. A second sweep rebuilds
+    D block by block, forms P = mu (D - E) in the block buffer, adds it to
+    Lambda, and keeps ||P_i||^2 and b.T P_i.T a for errors_of. Numerical
+    failures in the basis or split updates are re-raised as SolverError
+    carrying the pass number, and drop the scratch, whose D the pass has
+    overwritten with W.
     """
     work = state.scratch
     if work is None or work.x is not x:
         d = reconstruct(state.split, state.a, state.b, out=np.empty(x.shape, order="F"))
         np.subtract(x, d, out=d)
-        work = state.scratch = _Scratch(x, slice_norms(x) ** 2, d, np.empty_like(d))
-    mu, mu_k = state.mu, state.mu_k
-    try:
-        e, w = _outliers_and_data(
-            x, work.d, state.dual_rec, mu, config.lam, state.outliers, work.free
+        (m, n, num), r = x.shape, len(state.split)
+        step = min(num, max(1, BLOCK_BYTES // (8 * m * n)))
+        work = state.scratch = _Scratch(
+            x, slice_norms(x) ** 2, d, np.empty((m, n, step), order="F"),
+            np.empty(num), np.empty((num, r, r)),
         )
+    mu, mu_k = state.mu, state.mu_k
+    e, d, dual_rec = state.outliers, work.d, state.dual_rec
+    try:
+        for j, v in work.blocks():
+            _outliers_and_data(
+                x[..., j], d[..., j], dual_rec[..., j], mu, config.lam, e[..., j], v
+            )
+        w = d  # the sweep wrote W over D
         a = _basis_a(w, state.b, state.split, mu)
         wa = _project(w, a)
         b = _basis_b(wa, state.split, a, mu)
@@ -337,13 +368,16 @@ def iterate(state, x, config):
         raise SolverError(
             f"iteration {state.iteration + 1}: {exc}", state.iteration + 1, None
         ) from exc
-    # D = X - a K b.T for the next pass, then Lambda += mu (D - E) through W
-    d = reconstruct(k, a, b, out=work.free)
-    np.subtract(x, d, out=d)
-    np.subtract(d, e, out=w)
-    w *= mu
-    state.dual_rec += w
-    work.d, work.free, work.mu = d, w, mu
+    # per block: D = X - a K b.T over W for the next pass, P = mu (D - E),
+    # Lambda += P, and the two sweeps over P that errors_of needs
+    work.mu = mu
+    for j, p in work.blocks():
+        dj = mode_product(mode_product(k[..., j], a, 1), b, 2, out=d[..., j])
+        np.subtract(x[..., j], dj, out=dj)
+        np.subtract(dj, e[..., j], out=p)
+        p *= mu
+        dual_rec[..., j] += p
+        work.p_sq[j], work.cross[j] = _residual_terms(p, a, b)
     state.a, state.b, state.core, state.split = a, b, core, k
     state.dual_split = state.dual_split + mu_k * (core - k)
     state.mu, state.mu_k = min(state.mu_cap, RHO * mu), min(state.mu_k_cap, RHO * mu_k)
@@ -363,26 +397,26 @@ def errors_of(state, x):
     Delta = K - R, slice i of it is P_i / mu + a Delta_i b.T, so its
     squared norm is ||P_i||^2 / mu^2 + (2 / mu) <a.T P_i b, Delta_i>
     + <(a.T a) Delta_i (b.T b), Delta_i>, clamped at 0 against rounding:
-    one sweep over P, one r-skinny projection and r x r work.
+    ||P_i||^2 and the r-skinny projection a.T P_i b, then r x r work.
 
     When the state's scratch was built for this x, it checks the pass
-    iterate just made: the scratch holds P, that pass's step size mu and
-    the squared slice norms of x, so the check writes nothing data-sized.
-    Any other state or x has P built with mu = 1.
+    iterate just made: iterate's dual-step sweep left ||P_i||^2 and
+    a.T P_i b, that pass's step size mu and the squared slice norms of x
+    in the scratch, so the check reads no data-sized array. Any other
+    state or x has P built with mu = 1.
     """
     a, b, work = state.a, state.b, state.scratch
     if work is not None and work.x is x:
-        p, mu, x_sq = work.free, work.mu, work.x_sq
+        p_sq, cross, mu, x_sq = work.p_sq, work.cross, work.mu, work.x_sq
     else:
         p, mu = x - reconstruct(state.split, a, b) - state.outliers, 1.0
-        x_sq = slice_norms(x) ** 2
+        (p_sq, cross), x_sq = _residual_terms(p, a, b), slice_norms(x) ** 2
     # each term is an inner product of transposed r x r slices, stacked
     # (N, r, r): Delta_i.T, (a.T P_i b).T and ((a.T a) Delta_i (b.T b)).T
     gap = state.split - state.core
-    cross = b.T @ _project(p, a)
     spread = (b.T @ b) @ gap.T @ (a.T @ a)
     resid_sq = np.maximum(
-        slice_norms(p) ** 2 / mu**2
+        p_sq / mu**2
         + (2 / mu) * np.einsum("kij,kij->k", cross, gap.T)
         + np.einsum("kij,kij->k", spread, gap.T),
         0.0,
@@ -427,11 +461,11 @@ def solve(x, config=None):
     which initialize rejects at iteration 1.
 
     Each pass is one call of iterate, which advances the solve's one
-    state in place, and one errors_of check, which reads the P its
-    scratch holds. A pass makes one low-rank rebuild and, after the
-    first, allocates no data-sized array; the solve holds at most five, x
-    included. After the first pass at which x or the core has a
-    zero-norm slice, solve warns once, at its caller.
+    state in place, and one errors_of check, which reads the sums over P
+    its scratch holds. A pass makes one low-rank rebuild and, after the
+    first, allocates no data-sized array; the solve holds four, x
+    included, and one block of slices. After the first pass at which x
+    or the core has a zero-norm slice, solve warns once, at its caller.
 
     The whole solve runs with numpy's bundled OpenBLAS library at one
     thread, and the caller's thread count is restored on return or

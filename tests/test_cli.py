@@ -414,7 +414,9 @@ def test_bgsub_skips_single_class_frames_in_the_per_frame_auc(tmp_path):
 
 def test_bgsub_holds_no_mask_stack_through_the_solve(tmp_path):
     # the labels are one boolean stack: a float64 mask stack, or an integer
-    # copy of it, kept alive through the solve adds a frame stack's bytes each
+    # copy of it, kept alive through the solve adds a frame stack's bytes each;
+    # the call reads 4.37x the frame stack's bytes, and 5.20x with a second
+    # data-sized solver buffer and np.isin's check of the bool labels
     frames, masks = tmp_path / "frames", tmp_path / "masks"
     frames.mkdir(), masks.mkdir()
     h, w, num = 48, 64, 60
@@ -428,7 +430,7 @@ def test_bgsub_holds_no_mask_stack_through_the_solve(tmp_path):
     finally:
         tracemalloc.stop()
     assert rc == 0
-    assert peak < 6 * (h * w * num * 8)
+    assert peak < 4.8 * (h * w * num * 8)
 
 
 def assert_mean_psnrs(metrics, count):

@@ -1,5 +1,7 @@
 """Relative error, ranking AUC, and PSNR."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -140,6 +142,36 @@ def test_roc_auc_rejects_bad_labels():
         roc_auc([0.1, 0.9], [1, 2])
     with pytest.raises(ValueError):
         roc_auc([0.1, 0.9, 0.5], [1, 0])
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.uint8, np.float32, np.float64])
+def test_roc_auc_accepts_zero_one_labels_of_any_dtype(dtype):
+    labels = np.array([0, 1, 1, 0], dtype=dtype)
+    assert roc_auc([0.2, 0.9, 0.7, 0.1], labels) == 1.0
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_roc_auc_refuses_labels_other_than_zero_and_one(bad):
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        roc_auc([0.2, 0.9, 0.7, 0.1], [0, 1, bad, 0])
+
+
+def test_roc_auc_bool_labels_add_no_check_temporary():
+    """A bool label array is checked by its dtype, with no data-sized temporary.
+
+    With 5% positives, the sort's copy of the scores is the peak's bulk;
+    np.isin's check of bool labels took it to 1.63x the scores' bytes.
+    """
+    rng = np.random.default_rng(0)
+    scores = rng.standard_normal(200_000)
+    labels = rng.random(scores.size) < 0.05
+    tracemalloc.start()
+    try:
+        roc_auc(scores, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * scores.nbytes
 
 
 def test_psnr_perfect_is_infinite():

@@ -509,11 +509,15 @@ def test_warm_pass_allocates_no_data_sized_array():
 
 
 def test_pass_frees_the_projection_before_the_rebuild(monkeypatch):
-    """The (N, n, r) projection W_i.T @ A is dead when the dual step's rebuild allocates."""
+    """The (N, n, r) projection W_i.T @ A is dead when the dual step's rebuild allocates.
+
+    The rebuild is the pair of mode products per slice block; this stack
+    is one block, so the pass makes one mode-1 and one mode-2 product.
+    """
     x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
     cfg = SolverConfig(r=3).resolved(12, 10)
     state = iterate(initialize(x, cfg), x, cfg)
-    project, rebuild = solver._project, solver.reconstruct
+    project, rebuild = solver._project, solver.mode_product
     projections, alive = [], []
 
     def recording_project(*args):
@@ -521,14 +525,14 @@ def test_pass_frees_the_projection_before_the_rebuild(monkeypatch):
         projections.append(weakref.ref(result))
         return result
 
-    def checking_reconstruct(*args, **kwargs):
+    def checking_mode_product(*args, **kwargs):
         alive.append([ref() is not None for ref in projections])
         return rebuild(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_project", recording_project)
-    monkeypatch.setattr(solver, "reconstruct", checking_reconstruct)
+    monkeypatch.setattr(solver, "mode_product", checking_mode_product)
     iterate(state, x, cfg)
-    assert alive == [[False]]
+    assert alive == [[False], [False]]
 
 
 def test_iterate_core_is_shrunk_split():
@@ -753,6 +757,69 @@ def test_errors_of_builds_p_for_an_x_the_scratch_did_not_see():
     got = errors_of(fresh, x)[0]
     assert got != stale
     assert abs(got - direct_err_rec(fresh, x)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:zero-norm slices")
+def test_solve_holds_four_data_sized_arrays():
+    """Beyond x, a solve holds E, Lambda, D and one block of slices.
+
+    At 60 x 80 x 200 the stack is 34 blocks of 6 slices. With a second
+    data-sized buffer for P the peak read 4.02x x.nbytes; it reads 3.05x.
+    """
+    spec = SyntheticSpec(m=60, n=80, num_slices=200, rank_a=1, rank_b=1, r=1, p=0.7, seed=0)
+    x, _ = generate(spec)
+    tracemalloc.start()
+    try:
+        solve(x, SolverConfig(r=1, max_iter=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * x.nbytes
+
+
+def distinct_block_sizes(m, n, num):
+    """BLOCK_BYTES values giving one slice, a non-divisor count, and the whole stack per block."""
+    slice_bytes = 8 * m * n
+    sizes = [1, slice_bytes * num]
+    sizes += [slice_bytes * step for step in range(2, num) if num % step][:1]
+    return sizes
+
+
+@pytest.mark.filterwarnings("ignore:zero-norm slices")
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 14),
+    n=st.integers(1, 14),
+    num=st.integers(1, 13),
+    data=st.data(),
+    passes=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_does_not_depend_on_the_block_size(m, n, num, data, passes, seed):
+    """Every iterate is bit-identical however many slices a block holds.
+
+    The sweeps are elementwise and the rebuild's mode products compute
+    each slice alone, so a, b, the core and E, and with them err_split,
+    mu and mu_k, do not move. err_rec is summed from P per block by
+    einsum and a GEMM, whose rounding may depend on the number of slices
+    one call covers, so it agrees to rounding; epsilon is out of reach, so
+    every solve takes the same passes.
+    """
+    r = data.draw(st.integers(1, min(m, n)), label="r")
+    x = np.random.default_rng(seed).standard_normal((m, n, num))
+    cfg = SolverConfig(r=r, epsilon=1e-300, max_iter=passes)
+    results = []
+    for size in distinct_block_sizes(m, n, num):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "BLOCK_BYTES", size)
+            results.append(solve(x, cfg))
+    first = results[0]
+    for other in results[1:]:
+        assert other.iterations == first.iterations == passes
+        for name in ("a", "b", "core", "outliers"):
+            assert getattr(other, name).tobytes() == getattr(first, name).tobytes()
+        assert other.trace[:, 1:].tobytes() == first.trace[:, 1:].tobytes()
+        np.testing.assert_allclose(other.trace[:, 0], first.trace[:, 0], rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("r", [2, 20])
