@@ -16,7 +16,7 @@ from .io import (
     write_image,
     write_tensor,
 )
-from .linalg import shrink, solve_gram_system, solve_stein, symmetric_eig
+from .linalg import shrink, solve_stein
 from .metrics import psnr, relative_error, roc_auc
 from .rpca import RpcaResult, rpca_ialm, rpca_slices, svt
 from .solver import (
@@ -27,7 +27,6 @@ from .solver import (
     errors_of,
     initialize,
     iterate,
-    lagrangian,
     solve,
 )
 from .synthetic import GroundTruth, SyntheticSpec, density, generate
@@ -49,7 +48,6 @@ __all__ = [
     "generate",
     "initialize",
     "iterate",
-    "lagrangian",
     "load_bundle",
     "mode_product",
     "psnr",
@@ -64,10 +62,8 @@ __all__ = [
     "save_bundle",
     "shrink",
     "solve",
-    "solve_gram_system",
     "solve_stein",
     "svt",
-    "symmetric_eig",
     "write_image",
     "write_tensor",
 ]

@@ -127,7 +127,6 @@ def cmd_synth(args):
         f"solved in {fac.iterations} iterations, {elapsed:.2f} s; "
         f"error on L = {values['relative_error_low_rank']:.3e}"
     )
-    return 0
 
 
 def cmd_decompose(args):
@@ -145,7 +144,6 @@ def cmd_decompose(args):
     }
     _write_run(args, values, [config], fac)
     print(f"solved in {fac.iterations} iterations, {elapsed:.2f} s")
-    return 0
 
 
 def cmd_rpca(args):
@@ -165,7 +163,6 @@ def cmd_rpca(args):
         lam=config.lam,
     )
     print(f"decomposed {x.shape[2]} slices in {elapsed:.2f} s")
-    return 0
 
 
 def cmd_bgsub(args):
@@ -214,7 +211,6 @@ def cmd_bgsub(args):
     )
     print(f"auc (pooled): {auc_pooled:.6f}")
     print(f"auc (per-frame): {auc_per_frame:.6f}")
-    return 0
 
 
 def _corrupt(image, level, rng):
@@ -271,7 +267,6 @@ def cmd_denoise(args):
     values["mean_psnr"] = float(np.mean(psnrs_out))
     _write_run(args, values, configs, arrays=files, images=";".join(paths), **resolved)
     print(f"mean psnr: {values['mean_psnr']:.2f} dB over {len(triples)} images")
-    return 0
 
 
 def cmd_eval(args):
@@ -284,7 +279,6 @@ def cmd_eval(args):
         values["psnr"] = psnr(estimate, reference, peak=args.peak)
     _write_run(args, values)
     print(f"relative error: {values['relative_error']:.6e}")
-    return 0
 
 
 # the flag of each SolverConfig field: spelling, type and help
@@ -305,6 +299,14 @@ def _add_solver_flags(parser, *dests):
         parser.add_argument(flag, dest=dest, type=kind, default=default, help=text)
 
 
+def _command(sub, name, func, help):
+    # a subcommand with the --out-dir every command writes under
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--out-dir", required=True)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kdrsdl",
@@ -312,7 +314,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate, solve, and score a synthetic problem")
+    p = _command(sub, "synth", cmd_synth, "generate, solve, and score a synthetic problem")
     p.add_argument("--m", type=int, default=50)
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--num-slices", type=int, default=20)
@@ -321,43 +323,32 @@ def build_parser():
     p.add_argument("--zero-prob", type=float, default=0.7, help="probability an outlier entry is zero")
     p.add_argument("--seed", type=int, default=0)
     _add_solver_flags(p, "r", "lam", "alpha")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("decompose", help="factor a stored tensor into a bundle")
+    p = _command(sub, "decompose", cmd_decompose, "factor a stored tensor into a bundle")
     p.add_argument("--input", required=True, help="input .kdt tensor")
     _add_solver_flags(p, "r", "lam", "alpha", "epsilon", "max_iter")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("rpca", help="slice-wise robust PCA baseline")
+    p = _command(sub, "rpca", cmd_rpca, "slice-wise robust PCA baseline")
     p.add_argument("--input", required=True, help="input .kdt tensor")
     _add_solver_flags(p, "lam", "epsilon", "max_iter")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_rpca, epsilon=EPSILON)
+    p.set_defaults(epsilon=EPSILON)
 
-    p = sub.add_parser("bgsub", help="foreground scoring on a frame stack")
+    p = _command(sub, "bgsub", cmd_bgsub, "foreground scoring on a frame stack")
     p.add_argument("--frames", required=True, help="glob of grayscale PGM frames")
     p.add_argument("--mask-frames", required=True, help="glob of binary PGM masks")
     _add_solver_flags(p, "r", "lam", "alpha")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_bgsub)
 
-    p = sub.add_parser("denoise", help="impulse-noise removal on images")
+    p = _command(sub, "denoise", cmd_denoise, "impulse-noise removal on images")
     p.add_argument("--images", required=True, help="glob of PGM/PPM images")
     p.add_argument("--noise-level", type=float, required=True, help="corruption density in [0, 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=("kdrsdl", "rpca"), default="kdrsdl")
     _add_solver_flags(p, "r")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("eval", help="compare two stored tensors")
+    p = _command(sub, "eval", cmd_eval, "compare two stored tensors")
     p.add_argument("--estimate", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--peak", type=float, default=None, help="also report PSNR at this peak")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_eval)
 
     return parser
 
@@ -365,7 +356,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except FileNotFoundError as exc:
         error = f"{exc.filename if exc.filename else exc}: file not found"
     except OSError as exc:

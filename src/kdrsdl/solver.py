@@ -28,11 +28,8 @@ stay in cache: the first makes E and W, the second the rebuild, D, P,
 the dual step and the check's sums over P. The products with W between
 them run on the whole stack, as the A target sums over every slice.
 iterate advances one SolverState in place, overwriting E and Lambda,
-with W over D and v and P in one block buffer, so a solve holds four
-data-sized arrays (X, E, Lambda and D) and no pass after the first
-allocates one. errors_of(state, x) reads the sums from the scratch kept
-on the state, which is valid while only iterate advances the state; any
-other edit goes through dataclasses.replace, which drops it.
+with W over D and v and P in one block buffer. SolverState states what
+its pass scratch carries between passes and when it is dropped.
 """
 
 import numbers
@@ -119,11 +116,7 @@ class SolverConfig:
 
 @dataclass
 class _Scratch:
-    # The data-sized buffer d and the block-sized buffer block a solve
-    # reuses on every pass, built for one x, with x_sq its squared slice
-    # norms. Between passes d holds D = X - a K b.T for the state's factors,
-    # and p_sq and cross hold ||P_i||^2 and b.T P_i.T a for P = mu (D - E)
-    # at the step size mu of the pass that left them.
+    # the pass scratch; SolverState's docstring states what it holds
     x: np.ndarray
     x_sq: np.ndarray
     d: np.ndarray
@@ -143,11 +136,19 @@ class _Scratch:
 class SolverState:
     """All iterates of one run: factors, duals, step sizes, pass count.
 
-    iterate advances a state in place, reusing the buffers in scratch from
-    pass to pass, and errors_of reads the last pass's P from them. The
-    scratch is valid while only iterate advances the state: it is not an
-    argument of the constructor, and dataclasses.replace drops it, so an
-    edited state never shows a stale D or P.
+    iterate advances a state in place and keeps on it, in scratch, the
+    buffers every pass of a solve reuses, built by the first pass for one
+    x: the data-sized d, a block of slices, x_sq the squared slice norms
+    of x, and the r-sized p_sq and cross. Between passes d holds
+    D = X - a K b.T for the state's factors, which the next pass, given
+    the same x, starts from; p_sq and cross hold ||P_i||^2 and
+    b.T P_i.T a for P = mu (D - E), and mu the step size of the pass that
+    left them, which errors_of reads in place of a data sweep. So a solve
+    holds four data-sized arrays (X, E, Lambda and D), and no pass after
+    the first allocates one. The scratch is valid while only iterate
+    advances the state: it is not an argument of the constructor,
+    dataclasses.replace drops it, and so does a pass that fails, as its
+    d then holds W. An edited state never shows a stale D or P.
     """
 
     a: np.ndarray            # m x r basis
@@ -207,15 +208,20 @@ def initialize(x, config):
     and the split start diagonal, K_i[j, j] = qa_j.T X_i qb_j. Initial
     step sizes are ETA * N divided by the total slice norm of X (resp. of
     the core), capped at MU_CAP_FACTOR times that. An x whose squared norm
-    overflows float64 raises SolverError at iteration 1, before any pass.
+    overflows float64, or with a nonzero slice whose squared norm is below
+    the smallest normal float64, raises SolverError at iteration 1, before
+    any pass, as the RPCA baseline refuses such a matrix; all-zero slices
+    are accepted.
     """
     x_norms = slice_norms(x)
     with np.errstate(over="ignore"):
-        overflows = not np.isfinite(np.sum(x_norms ** 2))
-    if overflows:
+        x_sq = x_norms ** 2
+        overflows = not np.isfinite(np.sum(x_sq))
+    underflows = x[:, :, x_sq < np.finfo(np.float64).tiny].any()
+    if overflows or underflows:
         raise SolverError(
-            "iteration 1: the squared slice norms of the input overflow "
-            "float64; rescale the data",
+            "iteration 1: the squared slice norms of the input "
+            f"{'overflow' if overflows else 'underflow'} float64; rescale the data",
             1,
             np.zeros((0, 4)),
         )
@@ -326,9 +332,8 @@ def iterate(state, x, config):
 
     The pass assigns every iterate and the pass count on state, and
     overwrites E and Lambda in their arrays; dual_split gets a new array,
-    as states made with replace share it. The scratch stays on state and
-    carries D = X - a K b.T to the next pass, which must be given the same
-    x.
+    as states made with replace share it. It builds, reuses and drops the
+    scratch as SolverState states.
 
     E and W = mu (X - E) + Lambda are computed together from D and
     Lambda in one sweep over slice blocks, and the projection W_i.T @ A
@@ -336,12 +341,11 @@ def iterate(state, x, config):
     D block by block, forms P = mu (D - E) in the block buffer, adds it to
     Lambda, and keeps ||P_i||^2 and b.T P_i.T a for errors_of. Numerical
     failures in the basis or split updates are re-raised as SolverError
-    carrying the pass number, and drop the scratch, whose D the pass has
-    overwritten with W.
+    carrying the pass number.
     """
     work = state.scratch
     if work is None or work.x is not x:
-        d = reconstruct(state.split, state.a, state.b, out=np.empty(x.shape, order="F"))
+        d = reconstruct(state.split, state.a, state.b)
         np.subtract(x, d, out=d)
         (m, n, num), r = x.shape, len(state.split)
         step = min(num, max(1, BLOCK_BYTES // (8 * m * n)))
@@ -399,11 +403,10 @@ def errors_of(state, x):
     + <(a.T a) Delta_i (b.T b), Delta_i>, clamped at 0 against rounding:
     ||P_i||^2 and the r-skinny projection a.T P_i b, then r x r work.
 
-    When the state's scratch was built for this x, it checks the pass
-    iterate just made: iterate's dual-step sweep left ||P_i||^2 and
-    a.T P_i b, that pass's step size mu and the squared slice norms of x
-    in the scratch, so the check reads no data-sized array. Any other
-    state or x has P built with mu = 1.
+    When the state's scratch (see SolverState) was built for this x, it
+    checks the pass iterate just made from the sums the scratch holds and
+    reads no data-sized array. Any other state or x has P built with
+    mu = 1.
     """
     a, b, work = state.a, state.b, state.scratch
     if work is not None and work.x is x:
@@ -457,15 +460,14 @@ def solve(x, config=None):
     most epsilon, or max_iter passes. Deterministic given (x, config).
     Non-convergence is reported through Factorization.converged, not an
     error; numerical failures raise SolverError with the partial trace
-    attached, as does an x whose squared slice norms overflow float64,
-    which initialize rejects at iteration 1.
+    attached, as does an x whose squared slice norms overflow or
+    underflow float64, which initialize rejects at iteration 1.
 
     Each pass is one call of iterate, which advances the solve's one
-    state in place, and one errors_of check, which reads the sums over P
-    its scratch holds. A pass makes one low-rank rebuild and, after the
-    first, allocates no data-sized array; the solve holds four, x
-    included, and one block of slices. After the first pass at which x
-    or the core has a zero-norm slice, solve warns once, at its caller.
+    state in place, and one errors_of check; SolverState states what the
+    scratch they share holds. A pass makes one low-rank rebuild. After
+    the first pass at which x or the core has a zero-norm slice, solve
+    warns once, at its caller.
 
     The whole solve runs with numpy's bundled OpenBLAS library at one
     thread, and the caller's thread count is restored on return or

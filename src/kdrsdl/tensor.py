@@ -75,15 +75,15 @@ def mode_product(t, u, mode, out=None):
     return out
 
 
-def reconstruct(core, a, b, out=None):
+def reconstruct(core, a, b):
     """Assemble the low-rank tensor with slices a @ R_i @ b.T.
 
     core has shape (r, r, N), a is m x r, b is n x r; the result is
     (m, n, N). It is the mode-1 product with a, then the mode-2 product
     with b: the small products a @ R_i as one GEMM, then one batched
-    matmul with b, written into out if given (see mode_product).
+    matmul with b.
     """
-    return mode_product(mode_product(core, a, 1), b, 2, out=out)
+    return mode_product(mode_product(core, a, 1), b, 2)
 
 
 def slice_norms(t):

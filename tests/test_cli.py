@@ -199,6 +199,19 @@ def test_decompose_numerical_failure_exits_1(tmp_path, capsys):
     assert "solver failed: iteration 1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c", [1e-160, 1e-200])
+def test_decompose_underflowing_input_exits_1(tmp_path, capsys, c):
+    # the RPCA baseline refuses the same file with exit 2, as a usage error
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=2, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    src = tmp_path / "x.kdt"
+    write_tensor(src, x * c)
+    rc = run("decompose", "--input", src, "--r", 3, "--out-dir", tmp_path / "o")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failed: iteration 1: the squared slice norms of the input underflow")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "scale, flags, message",
     [

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdrsdl import shrink, solve_gram_system, solve_stein, symmetric_eig
+from kdrsdl import shrink, solve_stein
+from kdrsdl.linalg import solve_gram_system, symmetric_eig
 
 
 def random_stein_problem(rng, r):

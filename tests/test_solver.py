@@ -899,6 +899,45 @@ def test_initialize_rejects_overflowing_input():
             initialize(x, SolverConfig().resolved(1, 1))
 
 
+@pytest.mark.parametrize("c", [1e-160, 1e-200])
+def test_underflowing_input_names_the_underflow_without_numpy_warnings(c):
+    # the squared norms of these slices are subnormal (1e-160) or 0 (1e-200);
+    # solved, they read as converged with an all-zero low-rank part
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(solver.SolverError, match=r"^iteration 1: .*norms .* underflow") as info:
+            solve(c * x, SolverConfig(r=3))
+    assert info.value.iteration == 1
+    assert info.value.trace.shape == (0, 4)
+
+
+@pytest.mark.parametrize("c", [1e-160, 1e-200])
+def test_initialize_rejects_underflowing_input(c):
+    # a hand-stepped solve meets the same check as solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(solver.SolverError, match=r"^iteration 1: .*norms .* underflow") as info:
+            initialize(np.full((4, 3, 2), c), SolverConfig().resolved(4, 3))
+        assert info.value.iteration == 1
+        assert info.value.trace.shape == (0, 4)
+        # the rule is per slice: the stack's total squared norm is normal
+        x = np.ones((4, 3, 2))
+        x[:, :, 1] = c
+        with pytest.raises(solver.SolverError, match=r"^iteration 1: .*norms .* underflow"):
+            initialize(x, SolverConfig().resolved(4, 3))
+
+
+def test_an_all_zero_slice_is_not_an_underflow():
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
+    x[:, :, 2] = 0.0
+    with pytest.warns(RuntimeWarning, match="zero-norm"):
+        fac = solve(x, SolverConfig(r=3))
+    assert fac.converged
+    assert not fac.low_rank()[:, :, 2].any()
+    assert not fac.outliers[:, :, 2].any()
+
+
 def test_zero_slice_warning_fires_once_per_solve():
     spec = SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0)
     x, _ = generate(spec)
