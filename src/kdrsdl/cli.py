@@ -272,8 +272,6 @@ def cmd_denoise(args):
 def cmd_eval(args):
     estimate = read_tensor(args.estimate)
     reference = read_tensor(args.reference)
-    if estimate.shape != reference.shape:
-        raise ValueError(f"shape mismatch: {estimate.shape} vs {reference.shape}")
     values = {"relative_error": relative_error(estimate, reference)}
     if args.peak is not None:
         values["psnr"] = psnr(estimate, reference, peak=args.peak)

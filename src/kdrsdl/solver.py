@@ -20,13 +20,15 @@ step's) and two products with the weighted data W = mu (X - E) + Lambda:
 one for the A target and the projection W_i.T @ A that both the B target
 and the split update reuse. The dual step's D = X - a K b.T is carried
 into the next pass, whose E and W both come from v = mu D + Lambda with
-no rebuild, and its P = mu (D - E) gives the residual check in the r x r
-frame of the core, also with no rebuild.
+no rebuild, and its residual P = D - E = X - a K b.T - E gives the
+residual check in the r x r frame of the core, also with no rebuild.
 
 The data-sized work of a pass is two sweeps over blocks of slices that
 stay in cache: the first makes E and W, the second the rebuild, D, P,
-the dual step and the check's sums over P. The products with W between
-them run on the whole stack, as the A target sums over every slice.
+the check's per-slice sums over P and the dual step Lambda += mu P. Each
+slice's sums come from that slice alone, so they equal a rebuild's bit
+for bit whatever the block size. The products with W between them run
+on the whole stack, as the A target sums over every slice.
 iterate advances one SolverState in place, overwriting E and Lambda,
 with W over D and v and P in one block buffer. SolverState states what
 its pass scratch carries between passes and when it is dropped.
@@ -123,7 +125,6 @@ class _Scratch:
     block: np.ndarray
     p_sq: np.ndarray
     cross: np.ndarray
-    mu: float = 1.0
 
     def blocks(self):
         # (slice range of each block, the block buffer cut to its length)
@@ -142,10 +143,10 @@ class SolverState:
     of x, and the r-sized p_sq and cross. Between passes d holds
     D = X - a K b.T for the state's factors, which the next pass, given
     the same x, starts from; p_sq and cross hold ||P_i||^2 and
-    b.T P_i.T a for P = mu (D - E), and mu the step size of the pass that
-    left them, which errors_of reads in place of a data sweep. So a solve
-    holds four data-sized arrays (X, E, Lambda and D), and no pass after
-    the first allocates one. The scratch is valid while only iterate
+    b.T P_i.T a for P = D - E = X - a K b.T - E, bit for bit the sums a
+    rebuild of P gives, which errors_of reads in place of a data sweep.
+    So a solve holds four data-sized arrays (X, E, Lambda and D), and no
+    pass after the first allocates one. The scratch is valid while only iterate
     advances the state: it is not an argument of the constructor,
     dataclasses.replace drops it, and so does a pass that fails, as its
     d then holds W. An edited state never shows a stale D or P.
@@ -281,8 +282,10 @@ def _project(w, a):
 
 
 def _residual_terms(p, a, b):
-    # ||P_i||_F^2 and b.T @ P_i.T @ a for every slice of P, stacked (N, r, r)
-    return slice_norms(p) ** 2, b.T @ _project(p, a)
+    # ||P_i||_F^2 and b.T @ P_i.T @ a for every slice of P, stacked (N, r, r),
+    # each by one matmul on its own slice, so no sum depends on the block
+    flat = p.T.reshape(p.shape[2], 1, -1)
+    return (flat @ flat.transpose(0, 2, 1)).ravel(), b.T @ (p.T @ a)
 
 
 def _gram(stack, g):
@@ -338,10 +341,10 @@ def iterate(state, x, config):
     E and W = mu (X - E) + Lambda are computed together from D and
     Lambda in one sweep over slice blocks, and the projection W_i.T @ A
     feeds both the B update and the split update. A second sweep rebuilds
-    D block by block, forms P = mu (D - E) in the block buffer, adds it to
-    Lambda, and keeps ||P_i||^2 and b.T P_i.T a for errors_of. Numerical
-    failures in the basis or split updates are re-raised as SolverError
-    carrying the pass number.
+    D block by block, forms P = D - E in the block buffer, keeps
+    ||P_i||^2 and b.T P_i.T a for errors_of, and adds mu P to Lambda.
+    Numerical failures in the basis or split updates are re-raised as
+    SolverError carrying the pass number.
     """
     work = state.scratch
     if work is None or work.x is not x:
@@ -372,16 +375,15 @@ def iterate(state, x, config):
         raise SolverError(
             f"iteration {state.iteration + 1}: {exc}", state.iteration + 1, None
         ) from exc
-    # per block: D = X - a K b.T over W for the next pass, P = mu (D - E),
-    # Lambda += P, and the two sweeps over P that errors_of needs
-    work.mu = mu
+    # per block: D = X - a K b.T over W for the next pass, the residual
+    # P = D - E and the sums over it that errors_of reads, then Lambda += mu P
     for j, p in work.blocks():
         dj = mode_product(mode_product(k[..., j], a, 1), b, 2, out=d[..., j])
         np.subtract(x[..., j], dj, out=dj)
         np.subtract(dj, e[..., j], out=p)
+        work.p_sq[j], work.cross[j] = _residual_terms(p, a, b)
         p *= mu
         dual_rec[..., j] += p
-        work.p_sq[j], work.cross[j] = _residual_terms(p, a, b)
     state.a, state.b, state.core, state.split = a, b, core, k
     state.dual_split = state.dual_split + mu_k * (core - k)
     state.mu, state.mu_k = min(state.mu_cap, RHO * mu), min(state.mu_k_cap, RHO * mu_k)
@@ -397,30 +399,30 @@ def errors_of(state, x):
     are guarded with a 1e-300 denominator floor, and a ratio that
     overflows past it reads as inf; the check never warns.
 
-    The residual is never rebuilt. With P = mu (X - a K b.T - E) and
-    Delta = K - R, slice i of it is P_i / mu + a Delta_i b.T, so its
-    squared norm is ||P_i||^2 / mu^2 + (2 / mu) <a.T P_i b, Delta_i>
-    + <(a.T a) Delta_i (b.T b), Delta_i>, clamped at 0 against rounding:
-    ||P_i||^2 and the r-skinny projection a.T P_i b, then r x r work.
+    The residual is never rebuilt. With P = X - a K b.T - E and
+    Delta = K - R, slice i of it is P_i + a Delta_i b.T, so its squared
+    norm is ||P_i||^2 + 2 <a.T P_i b, Delta_i> + <(a.T a) Delta_i (b.T b),
+    Delta_i>, clamped at 0 against rounding: ||P_i||^2 and the r-skinny
+    projection a.T P_i b, then r x r work.
 
     When the state's scratch (see SolverState) was built for this x, it
     checks the pass iterate just made from the sums the scratch holds and
-    reads no data-sized array. Any other state or x has P built with
-    mu = 1.
+    reads no data-sized array. Any other state or x has P built here, and
+    the same sums of it give the scratch's values bit for bit.
     """
     a, b, work = state.a, state.b, state.scratch
     if work is not None and work.x is x:
-        p_sq, cross, mu, x_sq = work.p_sq, work.cross, work.mu, work.x_sq
+        p_sq, cross, x_sq = work.p_sq, work.cross, work.x_sq
     else:
-        p, mu = x - reconstruct(state.split, a, b) - state.outliers, 1.0
+        p = x - reconstruct(state.split, a, b) - state.outliers
         (p_sq, cross), x_sq = _residual_terms(p, a, b), slice_norms(x) ** 2
     # each term is an inner product of transposed r x r slices, stacked
     # (N, r, r): Delta_i.T, (a.T P_i b).T and ((a.T a) Delta_i (b.T b)).T
     gap = state.split - state.core
     spread = (b.T @ b) @ gap.T @ (a.T @ a)
     resid_sq = np.maximum(
-        p_sq / mu**2
-        + (2 / mu) * np.einsum("kij,kij->k", cross, gap.T)
+        p_sq
+        + 2 * np.einsum("kij,kij->k", cross, gap.T)
         + np.einsum("kij,kij->k", spread, gap.T),
         0.0,
     )

@@ -785,6 +785,21 @@ def distinct_block_sizes(m, n, num):
     return sizes
 
 
+def assert_solve_ignores_the_block_size(x, r, passes):
+    """Solve x at every size distinct_block_sizes gives and compare every bit."""
+    cfg = SolverConfig(r=r, epsilon=1e-300, max_iter=passes)
+    results = []
+    for size in distinct_block_sizes(*x.shape):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "BLOCK_BYTES", size)
+            results.append(solve(x, cfg))
+    first = results[0]
+    for other in results[1:]:
+        assert other.iterations == first.iterations == passes
+        for name in ("a", "b", "core", "outliers", "trace"):
+            assert getattr(other, name).tobytes() == getattr(first, name).tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:zero-norm slices")
 @settings(max_examples=40, deadline=None)
 @given(
@@ -796,30 +811,41 @@ def distinct_block_sizes(m, n, num):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_solve_does_not_depend_on_the_block_size(m, n, num, data, passes, seed):
-    """Every iterate is bit-identical however many slices a block holds.
+    """A solve, trace included, is bit-identical however many slices a block holds.
 
-    The sweeps are elementwise and the rebuild's mode products compute
-    each slice alone, so a, b, the core and E, and with them err_split,
-    mu and mu_k, do not move. err_rec is summed from P per block by
-    einsum and a GEMM, whose rounding may depend on the number of slices
-    one call covers, so it agrees to rounding; epsilon is out of reach, so
-    every solve takes the same passes.
+    The sweeps are elementwise, the rebuild's mode products compute each
+    slice alone, and the check's sums over P take one matmul per slice,
+    so nothing a solve returns depends on the number of slices one call
+    covers; epsilon is out of reach, so every solve takes the same passes.
     """
     r = data.draw(st.integers(1, min(m, n)), label="r")
     x = np.random.default_rng(seed).standard_normal((m, n, num))
-    cfg = SolverConfig(r=r, epsilon=1e-300, max_iter=passes)
-    results = []
-    for size in distinct_block_sizes(m, n, num):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "BLOCK_BYTES", size)
-            results.append(solve(x, cfg))
-    first = results[0]
-    for other in results[1:]:
-        assert other.iterations == first.iterations == passes
-        for name in ("a", "b", "core", "outliers"):
-            assert getattr(other, name).tobytes() == getattr(first, name).tobytes()
-        assert other.trace[:, 1:].tobytes() == first.trace[:, 1:].tobytes()
-        np.testing.assert_allclose(other.trace[:, 0], first.trace[:, 0], rtol=1e-12, atol=1e-14)
+    assert_solve_ignores_the_block_size(x, r, passes)
+
+
+@pytest.mark.parametrize(
+    "m, n, num, r, passes", [(93, 104, 10, 23, 3), (91, 97, 13, 5, 4)]
+)
+def test_solve_does_not_depend_on_the_block_size_at_large_slices(m, n, num, r, passes):
+    """Slices of more than 8192 entries, where a reduction over a block may chunk by position."""
+    x = np.random.default_rng(0).standard_normal((m, n, num))
+    assert_solve_ignores_the_block_size(x, r, passes)
+
+
+@pytest.mark.parametrize("m, n, num, r", [(100, 100, 50, 20), (60, 80, 30, 1)])
+def test_errors_of_reads_the_scratch_as_a_rebuild_would(m, n, num, r):
+    """After every pass the scratch's sums give the rebuilt check's bits exactly.
+
+    A copy of x is another array, so errors_of rebuilds P = X - a K b.T - E
+    for it instead of reading the sums the pass left.
+    """
+    spec = SyntheticSpec(m=m, n=n, num_slices=num, rank_a=min(r, 5), rank_b=min(r, 5), r=r, p=0.7, seed=0)
+    x, _ = generate(spec)
+    cfg = SolverConfig(r=r).resolved(m, n)
+    state = initialize(x, cfg)
+    for _ in range(8):
+        iterate(state, x, cfg)
+        assert errors_of(state, x) == errors_of(state, np.copy(x, order="F"))
 
 
 @pytest.mark.parametrize("r", [2, 20])
