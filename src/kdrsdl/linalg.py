@@ -46,10 +46,10 @@ def shrink(x, tau):
     """Elementwise soft threshold: sign(x) * max(|x| - tau, 0).
 
     Computed as x - clip(x, -tau, tau), in two sweeps. Every entry with
-    |x| <= tau, -0.0 included, maps to +0.0, since x - x is +0.0. tau
-    must be nonnegative.
+    |x| <= tau, -0.0 included, maps to +0.0, since x - x is +0.0. A
+    negative or NaN tau raises ValueError.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"shrinkage threshold must be nonnegative, got {tau}")
     x = np.asarray(x, dtype=np.float64)
     out = np.clip(x, -tau, tau, out=np.empty_like(x))

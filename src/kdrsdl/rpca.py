@@ -12,6 +12,7 @@ import numpy as np
 
 from .linalg import _one_blas_thread, shrink
 from .solver import SolverConfig
+from .tensor import as_tensor
 
 
 # the default stopping tolerance on the squared relative residual: the square
@@ -37,9 +38,11 @@ def svt(x, tau):
     y'y = V diag(s^2) V', and for the columns with s > tau the result is
     ((y V) * (1 - tau / s)) V'. U is never formed, and the output does
     not depend on the signs eigh gives V. Rounding in the Gram perturbs
-    the result by about eps * s_1^2 / tau. An x with a non-finite entry,
-    or whose Frobenius norm squared overflows float64, raises ValueError.
+    the result by about eps * s_1^2 / tau. A negative or NaN tau, or an
+    x that is not finite or whose squared norm overflows, raises ValueError.
     """
+    if not tau >= 0:
+        raise ValueError(f"singular value threshold must be nonnegative, got {tau}")
     x = np.asarray(x, dtype=np.float64)
     wide = x.shape[0] < x.shape[1]
     y = x.T if wide else x
@@ -65,12 +68,13 @@ def rpca_ialm(x, lam=None, epsilon=EPSILON, max_iter=SolverConfig.max_iter):
     and max_iter are checked as for solve, and lam defaults to
     1/sqrt(max(m, n)): a bad value, a non-matrix or an empty x raises
     ValueError. An all-zero x splits into zeros in 0 passes. Any other x
-    whose squared norm overflows or is subnormal raises ValueError.
+    whose squared norm overflows or is subnormal raises ValueError. x is
+    read in column-major order, so its layout does not matter.
 
     Step-size schedule: mu starts at 1.25 / sigma_1(X), grows by 1.5
     each pass, and is capped at 1e7 times its initial value.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64, order="F")
     if x.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={x.ndim}")
     if not np.isfinite(x).all():
@@ -113,7 +117,8 @@ def rpca_slices(x, lam=None, epsilon=EPSILON, max_iter=SolverConfig.max_iter):
     The result holds the stacked low-rank and sparse parts, the most
     passes any slice took, and whether every slice converged: each slice
     stops on its own, so the stack stops on its worst slice, as in solve.
-    An x that is not 3-way or is empty raises ValueError, as in solve.
+    x is read by as_tensor, as in solve: its layout does not matter, and
+    a non-finite, empty or not 3-way x raises ValueError before any slice.
 
     The slices are independent, so min(usable CPUs, N) threads, the
     calling thread among them, take them in index order and write each
@@ -127,11 +132,7 @@ def rpca_slices(x, lam=None, epsilon=EPSILON, max_iter=SolverConfig.max_iter):
     starts, and the error of the lowest-index failing slice is raised,
     the one a serial loop would raise.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"expected a 3-way tensor, got ndim={x.ndim}")
-    if x.size == 0:
-        raise ValueError(f"tensor has an empty dimension: shape={x.shape}")
+    x = as_tensor(x)
     low_rank = np.empty_like(x)
     sparse = np.empty_like(x)
     num_slices = x.shape[2]

@@ -236,7 +236,7 @@ def initialize(x, config):
     qb, wb = _start_basis(gram_b, r)
     core = np.zeros((r, r, num), order="F")
     diag = np.arange(r)
-    core[diag, diag] = np.einsum("ikj,kj->ji", _project(x, qa), qb)
+    core[diag, diag] = np.einsum("ikj,kj->ji", mode_product(x, qa.T, 1).T, qb)
     # the bases are C-ordered like those a pass returns, since a basis's
     # layout changes the rounding of the first pass
     a, b = np.ascontiguousarray(qa * wa), np.ascontiguousarray(qb * wb)
@@ -275,12 +275,6 @@ def _outliers_and_data(x, d, dual_rec, mu, lam, e, free):
     return e, d
 
 
-def _project(w, a):
-    # slices W_i.T @ a as one (N*n x m) @ (m x r) GEMM, stacked (N, n, r)
-    m, n, num = w.shape
-    return (w.T.reshape(num * n, m) @ a).reshape(num, n, -1)
-
-
 def _residual_terms(p, a, b):
     # ||P_i||_F^2 and b.T @ P_i.T @ a for every slice of P, stacked (N, r, r),
     # each by one matmul on its own slice, so no sum depends on the block
@@ -297,7 +291,7 @@ def _gram(stack, g):
 def _target_a(w, b, split):
     # sum_i W_i @ (b @ K_i.T) as one (m x N*n) @ (N*n x r) GEMM
     m, n, num = w.shape
-    bk = b @ split.T                                     # slices b @ K_i.T
+    bk = mode_product(split, b, 2).T                     # slices b @ K_i.T
     return w.reshape(m, n * num, order="F") @ bk.reshape(num * n, -1)
 
 
@@ -321,7 +315,7 @@ def _basis_b(wa, split, a, mu):
 
 
 def _split(wa, a, b, core, dual_split, mu, mu_k):
-    inner = (b.T @ wa).T                                 # slices a.T @ W_i @ b
+    inner = mode_product(wa.T, b.T, 2)                   # slices a.T @ W_i @ b
     rhs = (inner + dual_split) / mu_k + core
     return solve_stein(-(mu / mu_k) * (a.T @ a), b.T @ b, rhs)
 
@@ -365,7 +359,7 @@ def iterate(state, x, config):
             )
         w = d  # the sweep wrote W over D
         a = _basis_a(w, state.b, state.split, mu)
-        wa = _project(w, a)
+        wa = mode_product(w, a.T, 1).T  # slices W_i.T @ a, stacked (N, n, r)
         b = _basis_b(wa, state.split, a, mu)
         k = _split(wa, a, b, state.core, state.dual_split, mu, mu_k)
         del wa  # freed before the rebuild below allocates its own intermediate

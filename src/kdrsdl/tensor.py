@@ -6,12 +6,13 @@ last axis: slice i is ``t[:, :, i]``. All routines expect float64 data.
 The canonical layout is Fortran order of this shape: row index fastest,
 then column, then slice. It is the element order of the on-disk format,
 so files are read and written without a copy, and it makes ``t.T`` a free
-C-contiguous (N, n, m) stack of the transposed slices. Every product with
-a basis is written on that stack: a mode-1 product is one tall GEMM,
-because the transposed slices stack into one (N*n x m) matrix, and a
-mode-2 product is one batched ``matmul``. Routines accept any layout and
-return the canonical one; input in another layout costs a copy wherever
-a free reshape is impossible.
+C-contiguous (N, n, m) stack of the transposed slices. Every product of
+a stack with a basis, in the solver too (bar the residual check's sums,
+taken slice by slice), is a mode_product on that stack: a mode-1 product
+is one tall GEMM, as the transposed slices stack into one (N*n x m)
+matrix, and a mode-2 product is one batched ``matmul``. Every routine
+brings its tensor to the canonical layout first (a copy for any other
+layout), so no result depends on the layout of its tensor.
 """
 
 import numpy as np
@@ -53,7 +54,8 @@ def mode_product(t, u, mode, out=None):
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-    if u.shape[1] != t.shape[mode - 1]:
+    t = np.asarray(t, order="F")
+    if u.ndim != 2 or u.shape[1] != t.shape[mode - 1]:
         raise ValueError(
             f"mode-{mode} product needs u.shape[1] == {t.shape[mode - 1]}, got {u.shape}"
         )
@@ -88,4 +90,5 @@ def reconstruct(core, a, b):
 
 def slice_norms(t):
     """Frobenius norm of every frontal slice, as a length-N vector."""
+    t = np.asarray(t, order="F")
     return np.sqrt(np.einsum("ijk,ijk->k", t, t))

@@ -18,6 +18,7 @@ from kdrsdl import (
     generate,
     initialize,
     iterate,
+    mode_product,
     read_image,
     read_tensor,
     reconstruct,
@@ -34,7 +35,6 @@ from kdrsdl.solver import (
     _basis_a,
     _basis_b,
     _outliers_and_data,
-    _project,
     _split,
     _update_core,
     lagrangian,
@@ -161,7 +161,7 @@ def test_criterion_07_block_updates_never_increase_objective():
             a = _basis_a(w, state.b, state.split, state.mu)
             state = replace(state, a=a)
             values.append(lagrangian(state, x, cfg))
-            wa = _project(w, a)
+            wa = mode_product(w, a.T, 1).T
             b = _basis_b(wa, state.split, a, state.mu)
             state = replace(state, b=b)
             values.append(lagrangian(state, x, cfg))

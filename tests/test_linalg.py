@@ -55,9 +55,10 @@ def test_shrink_maps_the_dead_zone_to_positive_zero():
     assert not np.signbit(out).any()
 
 
-def test_shrink_rejects_negative_threshold():
-    with pytest.raises(ValueError):
-        shrink(np.zeros((2, 2)), -1e-12)
+@pytest.mark.parametrize("tau", [-1e-12, -1.0, np.nan])
+def test_shrink_rejects_negative_threshold(tau):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        shrink(np.zeros((2, 2)), tau)
 
 
 def test_shrink_is_nonexpansive():

@@ -95,6 +95,15 @@ def test_svt_rejects_a_non_finite_square_without_numpy_warnings(bad):
             svt(x, 0.5)
 
 
+@pytest.mark.parametrize("tau", [-1e-12, -1.0, np.nan])
+def test_svt_rejects_a_negative_or_nan_threshold(tau):
+    x = np.outer([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            svt(x, tau)
+
+
 def test_rpca_clean_rank_one_stays_low_rank():
     rng = np.random.default_rng(2)
     x = np.outer(rng.standard_normal(30), rng.standard_normal(20))
@@ -255,6 +264,16 @@ def test_rpca_refuses_inputs_solve_refuses(split, shape, message):
             solve(np.ones(shape))
 
 
+def test_rpca_slices_refuses_a_non_finite_stack_before_any_slice(monkeypatch):
+    started = []
+    monkeypatch.setattr(rpca, "rpca_ialm", lambda data, **kwargs: started.append(data))
+    x = np.ones((3, 4, 3))
+    x[0, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="^tensor contains non-finite entries$"):
+        rpca_slices(x)
+    assert started == []
+
+
 def test_rpca_reports_nonconvergence():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((10, 10))
@@ -328,6 +347,30 @@ def test_rpca_slices_equals_the_serial_loop(m, n, num_slices, zero_slice, max_it
     assert res.sparse.tobytes() == np.stack([r.sparse for r in per_slice], axis=2).tobytes()
     assert res.iterations == max(r.iterations for r in per_slice)
     assert res.converged == all(r.converged for r in per_slice)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    m=st.integers(1, 30),
+    n=st.integers(1, 30),
+    num_slices=st.integers(1, 4),
+    max_iter=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=12, n=10, num_slices=3, max_iter=40, seed=0)
+def test_rpca_results_bit_identical_in_any_memory_layout(m, n, num_slices, max_iter, seed):
+    # C-ordered, Fortran-ordered and strided copies of one stack; their
+    # slices are strided, Fortran-ordered and C-ordered matrices
+    x = np.random.default_rng(seed).standard_normal((m, n, num_slices))
+    copies = [np.ascontiguousarray(x), np.asfortranarray(x),
+              np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 2, 0)), 0, 2)]
+
+    def bits(split):
+        return split.low_rank.tobytes(), split.sparse.tobytes(), split.iterations, split.converged
+
+    assert len({bits(rpca_slices(t, max_iter=max_iter)) for t in copies}) == 1
+    for i in range(num_slices):
+        assert len({bits(rpca_ialm(t[:, :, i], max_iter=max_iter)) for t in copies}) == 1
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdrsdl import (
@@ -26,8 +26,8 @@ from kdrsdl import (
 )
 from kdrsdl import linalg, rpca, solver  # modules, for monkeypatching
 from kdrsdl.linalg import _one_blas_thread, _openblas_controls, shrink
-from kdrsdl.solver import _basis_a, _basis_b, _outliers_and_data, _project
-from kdrsdl.tensor import as_tensor, slice_norms
+from kdrsdl.solver import _basis_a, _basis_b, _outliers_and_data
+from kdrsdl.tensor import as_tensor, mode_product, slice_norms
 
 
 def consistent_state(rng, m, n, num, r, config):
@@ -385,7 +385,7 @@ def test_iterate_split_solves_stein_equation():
     )
     x_fit = x - e
     a = _basis_a(w, state.b, state.split, state.mu)
-    b = _basis_b(_project(w, a), state.split, a, state.mu)
+    b = _basis_b(mode_product(w, a.T, 1).T, state.split, a, state.mu)
     # iterate overwrites E and Lambda in place, so it runs on a copy
     after = iterate(
         replace(state, outliers=state.outliers.copy(), dual_rec=state.dual_rec.copy()), x, cfg
@@ -509,30 +509,30 @@ def test_warm_pass_allocates_no_data_sized_array():
 
 
 def test_pass_frees_the_projection_before_the_rebuild(monkeypatch):
-    """The (N, n, r) projection W_i.T @ A is dead when the dual step's rebuild allocates.
+    """The (N, n, r) projection W_i.T @ A is dead when the dual step's rebuild writes D.
 
-    The rebuild is the pair of mode products per slice block; this stack
-    is one block, so the pass makes one mode-1 and one mode-2 product.
+    The projection is the pass's one mode-1 product of a data-sized
+    tensor. This stack is one block, so the rebuild writes D with one
+    mode-2 product.
     """
     x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
     cfg = SolverConfig(r=3).resolved(12, 10)
     state = iterate(initialize(x, cfg), x, cfg)
-    project, rebuild = solver._project, solver.mode_product
+    product = solver.mode_product
     projections, alive = [], []
 
-    def recording_project(*args):
-        result = project(*args)
-        projections.append(weakref.ref(result))
+    def checking_mode_product(t, u, mode, out=None):
+        if mode == 2 and out is not None:
+            alive.append([ref() is not None for ref in projections])
+        result = product(t, u, mode, out=out)
+        if mode == 1 and t.shape == x.shape:
+            projections.append(weakref.ref(result))
         return result
 
-    def checking_mode_product(*args, **kwargs):
-        alive.append([ref() is not None for ref in projections])
-        return rebuild(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_project", recording_project)
     monkeypatch.setattr(solver, "mode_product", checking_mode_product)
     iterate(state, x, cfg)
-    assert alive == [[False], [False]]
+    assert len(projections) == 1
+    assert alive == [[False]]
 
 
 def test_iterate_core_is_shrunk_split():
@@ -1020,14 +1020,33 @@ def test_zero_slice_warning_fires_before_a_later_solver_error(monkeypatch):
     assert "zero-norm" in str(caught[0].message)
 
 
-def test_solve_bit_identical_in_c_and_fortran_order():
-    spec = SyntheticSpec(m=50, n=50, num_slices=20, rank_a=5, rank_b=5, r=10, p=0.7, seed=1)
-    x, _ = generate(spec)
-    c_order = solve(np.ascontiguousarray(x), SolverConfig(r=10))
-    f_order = solve(np.asfortranarray(x), SolverConfig(r=10))
-    assert c_order.iterations == f_order.iterations
-    assert c_order.core.tobytes() == f_order.core.tobytes()
-    assert c_order.trace.tobytes() == f_order.trace.tobytes()
+def layouts(t):
+    """C-ordered, Fortran-ordered and strided copies of a tensor's values."""
+    return [np.ascontiguousarray(t), np.asfortranarray(t),
+            np.moveaxis(np.ascontiguousarray(np.moveaxis(t, 2, 0)), 0, 2)]
+
+
+@pytest.mark.filterwarnings("ignore:zero-norm slices")
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 40), num=st.integers(1, 6),
+       rank=st.integers(1, 5), r=st.integers(1, 10), p=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=50, n=50, num=20, rank=5, r=10, p=10, seed=1)
+def test_results_bit_identical_in_any_memory_layout(m, n, num, rank, r, p, seed):
+    """solve, mode_product in either mode and reconstruct read every layout alike."""
+    r = min(r, m, n)
+    rank = min(rank, r)
+    x, _ = generate(SyntheticSpec(m, n, num, rank, rank, r, p=0.7, seed=seed))
+    rng = np.random.default_rng(seed)
+    for mode, u in ((1, rng.standard_normal((p, m))), (2, rng.standard_normal((p, n)))):
+        assert len({mode_product(t, u, mode).tobytes() for t in layouts(x)}) == 1
+    core, a, b = (rng.standard_normal(shape) for shape in ((r, r, num), (m, r), (n, r)))
+    assert len({reconstruct(t, a, b).tobytes() for t in layouts(core)}) == 1
+    fits = [solve(t, SolverConfig(r=r, max_iter=60)) for t in layouts(x)]
+    for fit in fits[1:]:
+        assert fit.iterations == fits[0].iterations
+        for name in ("a", "b", "core", "outliers", "trace"):
+            assert getattr(fit, name).tobytes() == getattr(fits[0], name).tobytes()
 
 
 @pytest.mark.parametrize("seed, passes", [(0, 33), (1, 33)])

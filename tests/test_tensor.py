@@ -77,6 +77,8 @@ def test_mode_product_dimension_mismatch():
         mode_product(t, np.zeros((2, 5)), 1)
     with pytest.raises(ValueError):
         mode_product(t, np.zeros((2, 5)), 2)
+    with pytest.raises(ValueError):
+        mode_product(t, np.zeros(4), 1)
 
 
 def test_mode_product_rejects_an_out_it_cannot_fill():
