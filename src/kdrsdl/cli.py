@@ -44,10 +44,6 @@ from .solver import SolverConfig, SolverError, solve
 from .synthetic import PRNG_ALGORITHM, SyntheticSpec, density, generate
 
 
-def _expand(pattern):
-    return sorted(glob.glob(pattern))
-
-
 def _solver_config(args, m, n):
     # a SolverConfig from the solver flags the command has, resolved for m x n
     given = {f.name: getattr(args, f.name) for f in fields(SolverConfig) if hasattr(args, f.name)}
@@ -166,8 +162,8 @@ def cmd_rpca(args):
 
 
 def cmd_bgsub(args):
-    frame_paths = _expand(args.frames)
-    mask_paths = _expand(args.mask_frames)
+    frame_paths = sorted(glob.glob(args.frames))
+    mask_paths = sorted(glob.glob(args.mask_frames))
     if not frame_paths:
         raise ValueError(f"no frames match {args.frames!r}")
     if len(mask_paths) != len(frame_paths):
@@ -176,8 +172,6 @@ def cmd_bgsub(args):
     labels = read_image_stack(mask_paths) > 0.5
     if labels.shape != x.shape:
         raise ValueError(f"mask stack is {labels.shape}, frame stack is {x.shape}")
-    if labels.min() == labels.max():
-        raise ValueError("masks contain a single class; cannot score a ranking")
     config = _solver_config(args, x.shape[0], x.shape[1])
     scored = [i for i in range(x.shape[2]) if labels[:, :, i].min() != labels[:, :, i].max()]
     if not scored:
@@ -223,7 +217,7 @@ def _corrupt(image, level, rng):
 def cmd_denoise(args):
     if not 0.0 <= args.noise_level < 1.0:
         raise ValueError(f"noise level {args.noise_level} outside [0, 1)")
-    paths = _expand(args.images)
+    paths = sorted(glob.glob(args.images))
     if not paths:
         raise ValueError(f"no images match {args.images!r}")
     images = [read_image(p) for p in paths]

@@ -27,6 +27,7 @@ KDT_HEADER = struct.Struct("<4s3I")
 BUNDLE_FILES = ("A.kdt", "B.kdt", "R.kdt", "E.kdt", "trace.csv", "manifest.json")
 
 TRACE_COLUMNS = ("iter", "err_rec", "err_split", "mu", "mu_K")
+METRICS_COLUMNS = ("metric", "value")
 
 
 class StorageError(ValueError):
@@ -45,21 +46,16 @@ class NonFiniteValueError(StorageError):
     """A tensor payload contains NaN or infinity."""
 
 
-def _jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+def _plain(value):
+    # a numpy scalar as the Python scalar it holds: numpy 2 reprs the
+    # scalar itself as e.g. "np.float64(0.5)", and json refuses most of them
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _format_value(value):
     # repr of a Python float is the shortest decimal that parses back to
-    # the same bits; numpy scalars must be unwrapped first since numpy 2
-    # reprs them as e.g. "np.float64(0.5)".
-    value = _jsonable(value)
+    # the same bits
+    value = _plain(value)
     if isinstance(value, bool):
         return str(int(value))
     return repr(value) if isinstance(value, float) else str(value)
@@ -210,37 +206,42 @@ def write_image(path, image):
         fh.write(pixels.tobytes())
 
 
+def _write_table(path, header, rows):
+    # the one CSV dialect: a header line, then each row's fields joined by commas
+    lines = [",".join(header)] + [",".join(map(_format_value, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_table(path, header, parse):
+    # parse(fields) of each row of a _write_table table; its ValueError marks a bad row
+    lines = Path(path).read_text().splitlines()
+    if not lines or tuple(lines[0].split(",")) != header:
+        raise StorageError(f"{path}: expected the header {','.join(header)}")
+    rows = []
+    for line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise StorageError(f"{path}: row {line!r} has {len(fields)} fields, not {len(header)}")
+        try:
+            rows.append(parse(fields))
+        except ValueError:
+            raise StorageError(f"{path}: malformed row {line!r}") from None
+    return rows
+
+
 def write_trace(path, trace):
     """Write per-iteration solver history as CSV.
 
     Columns are iter (1-based), err_rec, err_split, mu, mu_K; one row
     per completed iteration.
     """
-    trace = np.asarray(trace, dtype=np.float64)
-    lines = [",".join(TRACE_COLUMNS)]
-    for i, row in enumerate(trace):
-        lines.append(",".join([str(i + 1)] + [_format_value(v) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _parse_float(path, text, line):
-    try:
-        return float(text)
-    except ValueError:
-        raise StorageError(f"{path}: malformed row {line!r}") from None
+    rows = enumerate(np.asarray(trace, dtype=np.float64), 1)
+    _write_table(path, TRACE_COLUMNS, ([i, *row] for i, row in rows))
 
 
 def read_trace(path):
     """Read a trace.csv back into a (k, 4) float array (iter implicit)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
-        raise StorageError(f"{path}: unexpected trace header")
-    rows = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != len(TRACE_COLUMNS):
-            raise StorageError(f"{path}: malformed trace row {line!r}")
-        rows.append([_parse_float(path, v, line) for v in fields[1:]])
+    rows = _read_table(path, TRACE_COLUMNS, lambda fields: [float(v) for v in fields[1:]])
     return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
 
 
@@ -249,36 +250,22 @@ def write_metrics(path, values):
 
     Rows are sorted by metric name so output is deterministic.
     """
-    lines = ["metric,value"]
-    for name, value in sorted(values.items()):
-        lines.append(f"{name},{_format_value(value)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, METRICS_COLUMNS, sorted(values.items()))
 
 
 def read_metrics(path):
     """Read a metrics.csv back into a {name: float} dict."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "metric,value":
-        raise StorageError(f"{path}: unexpected metrics header")
-    values = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(",")
-        values[name] = _parse_float(path, value, line)
-    return values
+    return dict(_read_table(path, METRICS_COLUMNS, lambda fields: (fields[0], float(fields[1]))))
 
 
 def write_manifest(path, entries):
     """Write a manifest as JSON with sorted keys and a trailing newline."""
-    entries = {k: _jsonable(v) for k, v in entries.items()}
+    entries = {k: _plain(v) for k, v in entries.items()}
     Path(path).write_text(json.dumps(entries, sort_keys=True, indent=2) + "\n")
 
 
 def read_manifest(path):
     return json.loads(Path(path).read_text())
-
-
-def _as_depth_one(matrix):
-    return np.asarray(matrix, dtype=np.float64)[:, :, np.newaxis]
 
 
 def save_bundle(out_dir, fac, config, extra=None):
@@ -292,8 +279,8 @@ def save_bundle(out_dir, fac, config, extra=None):
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_tensor(out_dir / "A.kdt", _as_depth_one(fac.a))
-    write_tensor(out_dir / "B.kdt", _as_depth_one(fac.b))
+    write_tensor(out_dir / "A.kdt", fac.a[:, :, np.newaxis])
+    write_tensor(out_dir / "B.kdt", fac.b[:, :, np.newaxis])
     write_tensor(out_dir / "R.kdt", fac.core)
     write_tensor(out_dir / "E.kdt", fac.outliers)
     write_trace(out_dir / "trace.csv", fac.trace)

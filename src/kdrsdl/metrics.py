@@ -56,8 +56,8 @@ def psnr(estimate, reference, peak):
     reference = np.asarray(reference, dtype=np.float64)
     if estimate.shape != reference.shape:
         raise ValueError(f"shape mismatch: {estimate.shape} vs {reference.shape}")
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    if not 0 < peak < np.inf:
+        raise ValueError(f"peak must be positive and finite, got {peak}")
     mse = float(np.mean((estimate - reference) ** 2))
     if mse == 0.0:
         return float("inf")

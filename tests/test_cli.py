@@ -324,6 +324,17 @@ def test_eval_with_peak_reports_psnr(tmp_path):
     assert abs(metrics["psnr"] - 10 * np.log10(1.0 / 0.25 ** 2)) <= 1e-10
 
 
+@pytest.mark.parametrize("peak", ["nan", "inf"])
+def test_eval_rejects_bad_peak_before_writing(tmp_path, capsys, peak):
+    x = tmp_path / "x.kdt"
+    write_tensor(x, np.ones((2, 2, 1)))
+    out = tmp_path / "run"
+    rc = run("eval", "--estimate", x, "--reference", x, "--peak", peak, "--out-dir", out)
+    assert rc == 2
+    assert "peak must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_shape_mismatch(tmp_path, capsys):
     ref, est = tmp_path / "ref.kdt", tmp_path / "est.kdt"
     write_tensor(ref, np.ones((2, 2, 1)))
@@ -363,16 +374,10 @@ def test_bgsub_mask_count_mismatch(tmp_path, capsys):
     assert "mask" in capsys.readouterr().err
 
 
-def test_bgsub_single_class_masks(tmp_path, capsys):
-    frames, masks = tmp_path / "frames", tmp_path / "masks"
-    frames.mkdir(), masks.mkdir()
-    write_video_fixture(frames, masks)
+def zero_masks(masks):
+    # one class in every frame, so in the whole stack too
     for path in masks.glob("*.pgm"):
         write_image(path, np.zeros((24, 32)))
-    rc = run("bgsub", "--frames", frames / "*.pgm", "--mask-frames", masks / "*.pgm",
-             "--out-dir", tmp_path / "o")
-    assert rc == 2
-    assert "single class" in capsys.readouterr().err
 
 
 def reshape_masks(masks):
@@ -392,6 +397,7 @@ def split_classes_by_frame(masks):
         (None, "absent_*.pgm", "no frames match"),
         (reshape_masks, "*.pgm", "mask stack is"),
         (split_classes_by_frame, "*.pgm", "no frame has both"),
+        (zero_masks, "*.pgm", "no frame has both"),
     ],
 )
 def test_bgsub_usage_errors(tmp_path, capsys, monkeypatch, edit, frames_glob, message):

@@ -273,15 +273,33 @@ def test_image_stack_builds_slices(tmp_path):
         np.testing.assert_array_equal(stack[:, :, i], np.full((4, 5), i * 100 / 255.0))
 
 
+# numpy scalars, signed zero, the smallest subnormal and the largest finite
+# double: each must reparse to its exact bits
+EDGE_VALUES = {
+    "f32": np.float32(0.1),
+    "i64": np.int64(-7),
+    "flag": np.bool_(True),
+    "neg_zero": -0.0,
+    "subnormal": 5e-324,
+    "largest": 1.7976931348623157e308,
+}
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
 def test_trace_roundtrip(tmp_path):
-    trace = np.array([[0.5, 0.25, 1.0, 2.0], [0.1, 0.01, 1.2, 2.4]])
+    edges = list(EDGE_VALUES.values())
+    rows = [[0.5, 0.25, 1.0, 2.0], [0.1, 0.01, 1.2, 2.4], edges[:4], edges[2:]]
     path = tmp_path / "trace.csv"
-    write_trace(path, trace)
-    text = path.read_text()
-    assert text.splitlines()[0] == "iter,err_rec,err_split,mu,mu_K"
-    assert text.splitlines()[1].startswith("1,")
+    write_trace(path, rows)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "iter,err_rec,err_split,mu,mu_K"
+    assert lines[1].startswith("1,")
+    assert lines[3] == "3,0.10000000149011612,-7.0,1.0,-0.0"
     back = read_trace(path)
-    assert back.tobytes() == trace.tobytes()
+    assert back.tobytes() == np.array(rows, dtype=np.float64).tobytes()
 
 
 def test_metrics_roundtrip_and_order(tmp_path):
@@ -296,11 +314,13 @@ def test_metrics_roundtrip_and_order(tmp_path):
 
 def test_metrics_floats_reparse_exactly(tmp_path):
     path = tmp_path / "metrics.csv"
-    values = {"a": 1 / 3, "b": 1e-300, "c": 123456789.123456}
+    values = {"a": 1 / 3, "b": 1e-300, "c": 123456789.123456, **EDGE_VALUES}
     write_metrics(path, values)
+    lines = path.read_text().splitlines()
+    assert "flag,1" in lines and "i64,-7" in lines and "f32,0.10000000149011612" in lines
     back = read_metrics(path)
     for name, value in values.items():
-        assert back[name] == value
+        assert bits(back[name]) == bits(value)
 
 
 @pytest.mark.parametrize(
@@ -312,6 +332,7 @@ def test_metrics_floats_reparse_exactly(tmp_path):
         (read_metrics, ""),
         (read_metrics, "name,value\n"),
         (read_metrics, "metric,value\nauc\n"),
+        (read_metrics, "metric,value\nauc,0.5,1\n"),
         (read_trace, "iter,err_rec,err_split,mu,mu_K\n1,a,b,c,d\n"),
     ],
 )
@@ -368,9 +389,13 @@ def test_bundle_missing_file(tmp_path, small_result):
 def test_bundle_config_roundtrip(tmp_path, small_result):
     fac, cfg = small_result
     out = tmp_path / "run"
-    save_bundle(out, fac, cfg, extra={"command": "synth"})
+    save_bundle(out, fac, cfg, extra={"command": "synth", **EDGE_VALUES})
     manifest = read_manifest(out / "manifest.json")
     assert manifest["command"] == "synth"
+    # JSON's own scalars, numpy scalars unwrapped to the values they hold
+    assert [type(manifest[name]) for name in EDGE_VALUES] == [float, int, bool, float, float, float]
+    for name, value in EDGE_VALUES.items():
+        assert bits(manifest[name]) == bits(value)
     prefix = "config."
     fields = {k[len(prefix):]: v for k, v in manifest.items() if k.startswith(prefix)}
     assert SolverConfig(**fields) == cfg

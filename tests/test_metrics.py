@@ -200,9 +200,10 @@ def test_psnr_decreases_with_noise():
     assert values[0] > values[1] > values[2]
 
 
-def test_psnr_rejects_bad_peak():
-    with pytest.raises(ValueError):
-        psnr(np.ones((2, 2)), np.zeros((2, 2)), 0.0)
+@pytest.mark.parametrize("peak", [0.0, -1.0, float("nan"), float("inf")])
+def test_psnr_rejects_bad_peak(peak):
+    with pytest.raises(ValueError, match="positive and finite"):
+        psnr(np.ones((2, 2)), np.zeros((2, 2)), peak)
 
 
 def test_psnr_rejects_shape_mismatch():
