@@ -169,7 +169,7 @@ def cmd_bgsub(args):
     if len(mask_paths) != len(frame_paths):
         raise ValueError(f"{len(frame_paths)} frames but {len(mask_paths)} mask frames")
     x = read_image_stack(frame_paths)
-    labels = read_image_stack(mask_paths) > 0.5
+    labels = read_image_stack(mask_paths, threshold=0.5)
     if labels.shape != x.shape:
         raise ValueError(f"mask stack is {labels.shape}, frame stack is {x.shape}")
     config = _solver_config(args, x.shape[0], x.shape[1])
@@ -177,7 +177,8 @@ def cmd_bgsub(args):
     if not scored:
         raise ValueError("no frame has both foreground and background pixels")
     fac = solve(x, config)
-    scores = np.abs(fac.outliers)
+    del x  # the scoring holds no frame stack but |E|, taken in E's own array
+    scores = np.abs(fac.outliers, out=fac.outliers)
     # both stacks are in the canonical column-major layout: flatten without a copy
     auc_pooled = roc_auc(scores.reshape(-1, order="F"), labels.reshape(-1, order="F"))
     auc_per_frame = float(
@@ -186,14 +187,14 @@ def cmd_bgsub(args):
     peak = scores.max()
     foreground = (
         (f"foreground_{i:03d}.pgm", scores[:, :, i] / peak if peak > 0 else scores[:, :, i])
-        for i in range(x.shape[2])
+        for i in range(len(frame_paths))
     )
     _write_run(
         args,
         {
             "auc_pooled": auc_pooled,
             "auc_per_frame": auc_per_frame,
-            "frames": x.shape[2],
+            "frames": len(frame_paths),
             "scored_frames": len(scored),
             "iterations": fac.iterations,
             "converged": fac.converged,

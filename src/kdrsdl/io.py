@@ -155,11 +155,13 @@ def read_image(path):
     return raw.reshape(shape).astype(np.float64) / 255.0
 
 
-def read_image_stack(paths):
+def read_image_stack(paths, threshold=None):
     """Read grayscale frames into an (m, n, N) tensor, one per slice.
 
     All frames must be PGM files of identical dimensions. The tensor is
     built in the canonical layout, one slice per frame as it is read.
+    With a threshold it holds the booleans pixel > threshold instead, so
+    a mask stack is read at an eighth of a float stack's bytes.
     """
     paths = list(paths)
     if not paths:
@@ -170,12 +172,13 @@ def read_image_stack(paths):
         if frame.ndim != 2:
             raise StorageError(f"{path}: expected grayscale PGM in a frame stack")
         if stack is None:
-            stack = np.empty(frame.shape + (len(paths),), order="F")
+            kind = np.float64 if threshold is None else bool
+            stack = np.empty(frame.shape + (len(paths),), dtype=kind, order="F")
         elif frame.shape != stack.shape[:2]:
             raise StorageError(
                 f"{path}: frame is {frame.shape}, stack is {stack.shape[:2]}"
             )
-        stack[:, :, i] = frame
+        stack[:, :, i] = frame if threshold is None else frame > threshold
     return stack
 
 
@@ -240,16 +243,28 @@ def write_trace(path, trace):
 
 
 def read_trace(path):
-    """Read a trace.csv back into a (k, 4) float array (iter implicit)."""
-    rows = _read_table(path, TRACE_COLUMNS, lambda fields: [float(v) for v in fields[1:]])
-    return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
+    """Read a trace.csv back into a (k, 4) float array.
+
+    The iter column must count 1, 2, ..., k: a reordered or truncated
+    trace, or an iter that is not an integer, raises StorageError.
+    """
+    rows = _read_table(path, TRACE_COLUMNS, lambda fields: [int(fields[0]), *map(float, fields[1:])])
+    for expected, (it, *_) in enumerate(rows, 1):
+        if it != expected:
+            raise StorageError(f"{path}: iter {it} where {expected} was expected")
+    return np.array([row[1:] for row in rows], dtype=np.float64).reshape(len(rows), 4)
 
 
 def write_metrics(path, values):
     """Write named scalar results as a two-column metric,value CSV.
 
-    Rows are sorted by metric name so output is deterministic.
+    Rows are sorted by metric name so output is deterministic. A name
+    holding a comma or a line break raises ValueError naming it, as
+    read_metrics could not read it back.
     """
+    for name in values:
+        if "," in name or "".join(name.splitlines()) != name:
+            raise ValueError(f"metric name {name!r} holds a comma or a line break")
     _write_table(path, METRICS_COLUMNS, sorted(values.items()))
 
 

@@ -18,20 +18,24 @@ contraction of a pass is one GEMM on a free reshape or one batched
 matmul of small slices. A pass costs one low-rank rebuild (the dual
 step's) and two products with the weighted data W = mu (X - E) + Lambda:
 one for the A target and the projection W_i.T @ A that both the B target
-and the split update reuse. The dual step's D = X - a K b.T is carried
-into the next pass, whose E and W both come from v = mu D + Lambda with
-no rebuild, and its residual P = D - E = X - a K b.T - E gives the
-residual check in the r x r frame of the core, also with no rebuild.
+and the split update reuse.
+
+A solve holds three data-sized arrays: X, v = mu (X - a K b.T) + Lambda
+and one buffer for L = a K b.T and W. With the exact E-step
+E = shrink(v, lam) / mu, W = mu L + clip(v, -lam, lam) and the dual step
+is Lambda' = W - mu L' (Boyd et al. 2011, section 3.3), so neither E nor
+Lambda is an array: solve returns the last E-step, made in v's array,
+and the residual check measures that E.
 
 The data-sized work of a pass is two sweeps over blocks of slices that
-stay in cache: the first makes E and W, the second the rebuild, D, P,
-the check's per-slice sums over P and the dual step Lambda += mu P. Each
-slice's sums come from that slice alone, so they equal a rebuild's bit
-for bit whatever the block size. The products with W between them run
-on the whole stack, as the A target sums over every slice.
-iterate advances one SolverState in place, overwriting E and Lambda,
-with W over D and v and P in one block buffer. SolverState states what
-its pass scratch carries between passes and when it is dropped.
+stay in cache: the first makes W over L, the second the rebuild L' into
+v's array, then v' = mu' (X - L') + Lambda' over W, and the check's
+per-slice sums over P = X - L' - E'. The two arrays then swap roles.
+Each slice's sums come from that slice alone, so they equal a rebuild's
+bit for bit whatever the block size. The products with W between the
+sweeps run on the whole stack, as the A target sums over every slice.
+SolverState states what its pass scratch carries between passes and
+when it is dropped.
 """
 
 import numbers
@@ -121,43 +125,48 @@ class _Scratch:
     # the pass scratch; SolverState's docstring states what it holds
     x: np.ndarray
     x_sq: np.ndarray
-    d: np.ndarray
+    low: np.ndarray
     block: np.ndarray
     p_sq: np.ndarray
     cross: np.ndarray
 
     def blocks(self):
-        # (slice range of each block, the block buffer cut to its length)
+        # (slice range of each block, the two block buffers cut to its length)
         num, step = self.x.shape[2], self.block.shape[2]
         for s in range(0, num, step):
-            yield slice(s, s + step), self.block[..., : min(step, num - s)]
+            size = min(step, num - s)
+            yield slice(s, s + step), self.block[:, :, :size, 0], self.block[:, :, :size, 1]
 
 
 @dataclass
 class SolverState:
     """All iterates of one run: factors, duals, step sizes, pass count.
 
+    The data enter only through v = mu (X - a K b.T) + Lambda, so the
+    outliers and Lambda are derived: outliers gives the exact E-step,
+    which solve returns, and dual_rec gives Lambda. A state made with
+    replace keeps v, so new factors change its Lambda, not its E.
+
     iterate advances a state in place and keeps on it, in scratch, the
     buffers every pass of a solve reuses, built by the first pass for one
-    x: the data-sized d, a block of slices, x_sq the squared slice norms
-    of x, and the r-sized p_sq and cross. Between passes d holds
-    D = X - a K b.T for the state's factors, which the next pass, given
-    the same x, starts from; p_sq and cross hold ||P_i||^2 and
-    b.T P_i.T a for P = D - E = X - a K b.T - E, bit for bit the sums a
+    x: the data-sized low, two blocks of slices, x_sq the squared slice
+    norms of x, and the r-sized p_sq and cross. Between passes low holds
+    L = a K b.T for the state's factors, which the next pass, given the
+    same x, starts from; p_sq and cross hold ||P_i||^2 and b.T P_i.T a
+    for P = X - a K b.T - E with the state's E, bit for bit the sums a
     rebuild of P gives, which errors_of reads in place of a data sweep.
-    So a solve holds four data-sized arrays (X, E, Lambda and D), and no
-    pass after the first allocates one. The scratch is valid while only iterate
-    advances the state: it is not an argument of the constructor,
+    So a solve holds three data-sized arrays (X, v and low), and no pass
+    after the first allocates one. The scratch is valid while only
+    iterate advances the state: it is not an argument of the constructor,
     dataclasses.replace drops it, and so does a pass that fails, as its
-    d then holds W. An edited state never shows a stale D or P.
+    low then holds W. An edited state never shows a stale L or P.
     """
 
     a: np.ndarray            # m x r basis
     b: np.ndarray            # n x r basis
     core: np.ndarray         # r x r x N sparse core R
     split: np.ndarray        # r x r x N split variable K
-    outliers: np.ndarray     # m x n x N sparse outliers E
-    dual_rec: np.ndarray     # m x n x N dual of the reconstruction constraint
+    v: np.ndarray            # m x n x N  mu (X - a K b.T) + Lambda
     dual_split: np.ndarray   # r x r x N dual of the split constraint
     mu: float
     mu_k: float
@@ -165,6 +174,17 @@ class SolverState:
     mu_k_cap: float
     iteration: int = 0
     scratch: _Scratch | None = field(default=None, init=False, repr=False, compare=False)
+
+    def outliers(self, lam):
+        """The exact E-step E = shrink(v, lam) / mu, divided as a product with 1 / mu.
+
+        A multiply runs about three times faster than a divide in a sweep.
+        """
+        return shrink(self.v, lam) * (1 / self.mu)
+
+    def dual_rec(self, x):
+        """The dual of the reconstruction constraint, Lambda = v - mu (X - a K b.T)."""
+        return self.v - self.mu * (x - reconstruct(self.split, self.a, self.b))
 
 
 @dataclass
@@ -208,11 +228,12 @@ def initialize(x, config):
     and B likewise from sum_i X_i.T X_i; neither Gram copies x. The core
     and the split start diagonal, K_i[j, j] = qa_j.T X_i qb_j. Initial
     step sizes are ETA * N divided by the total slice norm of X (resp. of
-    the core), capped at MU_CAP_FACTOR times that. An x whose squared norm
-    overflows float64, or with a nonzero slice whose squared norm is below
-    the smallest normal float64, raises SolverError at iteration 1, before
-    any pass, as the RPCA baseline refuses such a matrix; all-zero slices
-    are accepted.
+    the core), capped at MU_CAP_FACTOR times that. The duals start at
+    zero, so v = mu (X - a K b.T), the one data-sized array the start
+    allocates. An x whose squared norm overflows float64, or with a
+    nonzero slice whose squared norm is below the smallest normal
+    float64, raises SolverError at iteration 1, before any pass, as the
+    RPCA baseline refuses such a matrix; all-zero slices are accepted.
     """
     x_norms = slice_norms(x)
     with np.errstate(over="ignore"):
@@ -244,13 +265,15 @@ def initialize(x, config):
     core_total = slice_norms(core).sum()
     mu = ETA * num / x_total if x_total > 0 else ETA
     mu_k = ETA * num / core_total if core_total > 0 else ETA
+    v = reconstruct(core, a, b)
+    np.subtract(x, v, out=v)
+    v *= mu
     return SolverState(
         a=a,
         b=b,
         core=core,
         split=core.copy(),
-        outliers=np.zeros_like(x),
-        dual_rec=np.zeros_like(x),
+        v=v,
         dual_split=np.zeros_like(core),
         mu=mu,
         mu_k=mu_k,
@@ -259,20 +282,14 @@ def initialize(x, config):
     )
 
 
-def _outliers_and_data(x, d, dual_rec, mu, lam, e, free):
-    # E = shrink(D + Lambda/mu, lam/mu) and W = mu (X - E) + Lambda, both
-    # from v = mu D + Lambda: with c = clip(v, -lam, lam), E = (v - c) / mu
-    # and W = mu (X - D) + c. E is written into e and W over d; free is
-    # scratch. Returns (e, W).
-    np.multiply(d, mu, out=free)
-    free += dual_rec
-    np.clip(free, -lam, lam, out=e)
-    free -= e
-    np.subtract(x, d, out=d)
-    d *= mu
-    d += e
-    np.divide(free, mu, out=e)
-    return e, d
+def _weighted_data(low, v, mu, lam, c):
+    # W = mu (X - E) + Lambda for the E-step E = shrink(v, lam) / mu: with
+    # c = clip(v, -lam, lam), mu E = v - c and Lambda = v - mu (X - L), so
+    # W = mu L + c. W is written over low, L; c is scratch. Returns W.
+    np.clip(v, -lam, lam, out=c)
+    low *= mu
+    low += c
+    return low
 
 
 def _residual_terms(p, a, b):
@@ -327,37 +344,29 @@ def _update_core(split, dual_split, mu_k, alpha):
 def iterate(state, x, config):
     """Run one full pass that advances state in place, and return state.
 
-    The pass assigns every iterate and the pass count on state, and
-    overwrites E and Lambda in their arrays; dual_split gets a new array,
-    as states made with replace share it. It builds, reuses and drops the
-    scratch as SolverState states.
-
-    E and W = mu (X - E) + Lambda are computed together from D and
-    Lambda in one sweep over slice blocks, and the projection W_i.T @ A
-    feeds both the B update and the split update. A second sweep rebuilds
-    D block by block, forms P = D - E in the block buffer, keeps
-    ||P_i||^2 and b.T P_i.T a for errors_of, and adds mu P to Lambda.
-    Numerical failures in the basis or split updates are re-raised as
-    SolverError carrying the pass number.
+    The pass assigns every iterate and the pass count on state, in the
+    two sweeps the module docstring states. It writes the new L into v's
+    array and the new v into low's, and swaps them; dual_split gets a new
+    array, as states made with replace share it. It builds, reuses and
+    drops the scratch as SolverState states. Numerical failures in the
+    basis or split updates are re-raised as SolverError carrying the pass
+    number.
     """
     work = state.scratch
     if work is None or work.x is not x:
-        d = reconstruct(state.split, state.a, state.b)
-        np.subtract(x, d, out=d)
         (m, n, num), r = x.shape, len(state.split)
         step = min(num, max(1, BLOCK_BYTES // (8 * m * n)))
         work = state.scratch = _Scratch(
-            x, slice_norms(x) ** 2, d, np.empty((m, n, step), order="F"),
-            np.empty(num), np.empty((num, r, r)),
+            x, slice_norms(x) ** 2, reconstruct(state.split, state.a, state.b),
+            np.empty((m, n, step, 2), order="F"), np.empty(num), np.empty((num, r, r)),
         )
-    mu, mu_k = state.mu, state.mu_k
-    e, d, dual_rec = state.outliers, work.d, state.dual_rec
+        state.v = np.asarray(state.v, order="F")  # the rebuild writes into its slices
+    mu, mu_k, lam = state.mu, state.mu_k, config.lam
+    low, v = work.low, state.v
     try:
-        for j, v in work.blocks():
-            _outliers_and_data(
-                x[..., j], d[..., j], dual_rec[..., j], mu, config.lam, e[..., j], v
-            )
-        w = d  # the sweep wrote W over D
+        for j, c, _ in work.blocks():
+            _weighted_data(low[..., j], v[..., j], mu, lam, c)
+        w = low  # the sweep wrote W over L
         a = _basis_a(w, state.b, state.split, mu)
         wa = mode_product(w, a.T, 1).T  # slices W_i.T @ a, stacked (N, n, r)
         b = _basis_b(wa, state.split, a, mu)
@@ -369,26 +378,35 @@ def iterate(state, x, config):
         raise SolverError(
             f"iteration {state.iteration + 1}: {exc}", state.iteration + 1, None
         ) from exc
-    # per block: D = X - a K b.T over W for the next pass, the residual
-    # P = D - E and the sums over it that errors_of reads, then Lambda += mu P
-    for j, p in work.blocks():
-        dj = mode_product(mode_product(k[..., j], a, 1), b, 2, out=d[..., j])
-        np.subtract(x[..., j], dj, out=dj)
-        np.subtract(dj, e[..., j], out=p)
+    mu_next = min(state.mu_cap, RHO * mu)
+    # per block: L' into v's array, then Lambda' = W - mu L' and
+    # v' = mu' D' + Lambda' over W, with D' = X - L', and the sums over
+    # P = D' - E' for the E-step E' = (v' - clip(v')) / mu' that errors_of reads
+    for j, t, p in work.blocks():
+        lj, wj = mode_product(mode_product(k[..., j], a, 1), b, 2, out=v[..., j]), w[..., j]
+        np.multiply(lj, mu, out=t)
+        np.subtract(wj, t, out=wj)
+        np.subtract(x[..., j], lj, out=t)
+        np.multiply(t, mu_next, out=p)
+        wj += p
+        np.clip(wj, -lam, lam, out=p)
+        np.subtract(wj, p, out=p)
+        p *= 1 / mu_next
+        np.subtract(t, p, out=p)
         work.p_sq[j], work.cross[j] = _residual_terms(p, a, b)
-        p *= mu
-        dual_rec[..., j] += p
+    state.v, work.low = w, v
     state.a, state.b, state.core, state.split = a, b, core, k
     state.dual_split = state.dual_split + mu_k * (core - k)
-    state.mu, state.mu_k = min(state.mu_cap, RHO * mu), min(state.mu_k_cap, RHO * mu_k)
+    state.mu, state.mu_k = mu_next, min(state.mu_k_cap, RHO * mu_k)
     state.iteration += 1
     return state
 
 
-def errors_of(state, x):
+def errors_of(state, x, config):
     """Worst-slice squared relative residuals (err_rec, err_split).
 
-    err_rec measures X_i - a R_i b.T - E_i against ||X_i||_F^2 and
+    err_rec measures X_i - a R_i b.T - E_i against ||X_i||_F^2, for the
+    state's E-step E = state.outliers(config.lam), which solve returns, and
     err_split measures R_i - K_i against ||R_i||_F^2. Zero-norm slices
     are guarded with a 1e-300 denominator floor, and a ratio that
     overflows past it reads as inf; the check never warns.
@@ -408,7 +426,7 @@ def errors_of(state, x):
     if work is not None and work.x is x:
         p_sq, cross, x_sq = work.p_sq, work.cross, work.x_sq
     else:
-        p = x - reconstruct(state.split, a, b) - state.outliers
+        p = x - reconstruct(state.split, a, b) - state.outliers(config.lam)
         (p_sq, cross), x_sq = _residual_terms(p, a, b), slice_norms(x) ** 2
     # each term is an inner product of transposed r x r slices, stacked
     # (N, r, r): Delta_i.T, (a.T P_i b).T and ((a.T a) Delta_i (b.T b)).T
@@ -429,19 +447,20 @@ def errors_of(state, x):
     return err_rec, err_split
 
 
-def lagrangian(state, x, config):
-    """Value of the augmented Lagrangian at the given state.
+def lagrangian(state, x, config, outliers, dual_rec):
+    """Value of the augmented Lagrangian at the state's factors, E and Lambda.
 
-    Used to verify each pass step is an exact block minimizer; not
-    needed by the iteration itself.
+    The caller passes E and Lambda, which the blocks after the E-step
+    hold fixed. Used to verify each pass step is an exact block
+    minimizer; not needed by the iteration itself.
     """
-    resid = x - reconstruct(state.split, state.a, state.b) - state.outliers
+    resid = x - reconstruct(state.split, state.a, state.b) - outliers
     gap = state.core - state.split
     return (
         config.alpha * np.abs(state.core).sum()
-        + config.lam * np.abs(state.outliers).sum()
+        + config.lam * np.abs(outliers).sum()
         + 0.5 * (np.sum(state.a**2) + np.sum(state.b**2))
-        + np.vdot(state.dual_rec, resid)
+        + np.vdot(dual_rec, resid)
         + np.vdot(state.dual_split, gap)
         + 0.5 * state.mu * np.sum(resid**2)
         + 0.5 * state.mu_k * np.sum(gap**2)
@@ -461,9 +480,11 @@ def solve(x, config=None):
 
     Each pass is one call of iterate, which advances the solve's one
     state in place, and one errors_of check; SolverState states what the
-    scratch they share holds. A pass makes one low-rank rebuild. After
-    the first pass at which x or the core has a zero-norm slice, solve
-    warns once, at its caller.
+    scratch they share holds. A pass makes one low-rank rebuild. The
+    outliers returned are the final state's E-step shrink(v, lam) / mu,
+    made in v's array, so the last check measured the returned triple
+    and converged certifies it. After the first pass at which x or the
+    core has a zero-norm slice, solve warns once, at its caller.
 
     The whole solve runs with numpy's bundled OpenBLAS library at one
     thread, and the caller's thread count is restored on return or
@@ -486,17 +507,23 @@ def solve(x, config=None):
             except SolverError as exc:
                 exc.trace = np.reshape(rows, (-1, 4))
                 raise
-            errors = errors_of(state, x)
+            errors = errors_of(state, x, cfg)
             if not (warned or (state.scratch.x_sq.all() and slice_norms(state.core).all())):
                 warnings.warn(ZERO_NORM_WARNING, RuntimeWarning, stacklevel=2)
                 warned = True
             rows.append((*errors, mu, mu_k))
             converged = cfg.stops(*errors)
+        # the state's E-step, the E the last check measured, made in v's
+        # array, with low (free now) holding clip(v)
+        outliers, c = state.v, state.scratch.low
+        np.clip(outliers, -cfg.lam, cfg.lam, out=c)
+        outliers -= c
+        outliers *= 1 / state.mu
         return Factorization(
             a=state.a,
             b=state.b,
             core=state.core,
-            outliers=state.outliers,
+            outliers=outliers,
             trace=np.reshape(rows, (-1, 4)),
             converged=converged,
             iterations=state.iteration,

@@ -34,9 +34,9 @@ from kdrsdl.linalg import solve_stein
 from kdrsdl.solver import (
     _basis_a,
     _basis_b,
-    _outliers_and_data,
     _split,
     _update_core,
+    _weighted_data,
     lagrangian,
 )
 from kdrsdl.synthetic import density
@@ -151,31 +151,36 @@ def test_criterion_07_block_updates_never_increase_objective():
         x, _ = generate(spec)
         cfg = SolverConfig(r=6).resolved(30, 25)
         state = initialize(x, cfg)
+        # E and Lambda are values derived from the state; the blocks after
+        # the E-step hold both fixed, so they are passed to lagrangian
+        e = np.zeros_like(x)  # the outliers before the first E-step
         for _ in range(5):
-            values = [lagrangian(state, x, cfg)]
-            d = x - reconstruct(state.split, state.a, state.b)
-            e, w = _outliers_and_data(x, d, state.dual_rec, state.mu, cfg.lam,
-                                      np.empty_like(x), np.empty_like(x))
-            state = replace(state, outliers=e)
-            values.append(lagrangian(state, x, cfg))
+            dual_rec = state.dual_rec(x)
+            values = [lagrangian(state, x, cfg, e, dual_rec)]
+            low_rank = reconstruct(state.split, state.a, state.b)
+            w = _weighted_data(low_rank, state.v, state.mu, cfg.lam, np.empty_like(x))
+            e = state.outliers(cfg.lam)
+            values.append(lagrangian(state, x, cfg, e, dual_rec))
             a = _basis_a(w, state.b, state.split, state.mu)
             state = replace(state, a=a)
-            values.append(lagrangian(state, x, cfg))
+            values.append(lagrangian(state, x, cfg, e, dual_rec))
             wa = mode_product(w, a.T, 1).T
             b = _basis_b(wa, state.split, a, state.mu)
             state = replace(state, b=b)
-            values.append(lagrangian(state, x, cfg))
+            values.append(lagrangian(state, x, cfg, e, dual_rec))
             k = _split(wa, a, b, state.core, state.dual_split, state.mu, state.mu_k)
             state = replace(state, split=k)
-            values.append(lagrangian(state, x, cfg))
+            values.append(lagrangian(state, x, cfg, e, dual_rec))
             core = _update_core(k, state.dual_split, state.mu_k, cfg.alpha)
             state = replace(state, core=core)
-            values.append(lagrangian(state, x, cfg))
+            values.append(lagrangian(state, x, cfg, e, dual_rec))
             values = np.array(values)
             rises = np.diff(values) / np.maximum(1.0, np.abs(values[:-1]))
             worst = max(worst, float(np.max(rises)))
             checked += 1
-            state = iterate(state, x, cfg)
+            # the pass starts from the updated factors at the same Lambda
+            low_rank = reconstruct(state.split, state.a, state.b)
+            state = iterate(replace(state, v=dual_rec + state.mu * (x - low_rank)), x, cfg)
     assert checked == 20
     assert worst <= 1e-8
     announce(7, f"20 iterations, worst block-update rise {worst:.1e} (bound 1e-8)")

@@ -1,5 +1,7 @@
 """Tensor files, image files, traces, metrics, and result bundles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,17 @@ def test_image_stack_builds_slices(tmp_path):
         np.testing.assert_array_equal(stack[:, :, i], np.full((4, 5), i * 100 / 255.0))
 
 
+def test_image_stack_thresholds_to_booleans_as_the_float_stack_compares(tmp_path):
+    rng = np.random.default_rng(0)
+    paths = []
+    for i in range(3):
+        paths.append(tmp_path / f"m{i}.pgm")
+        write_image(paths[-1], rng.random((6, 7)))
+    mask = read_image_stack(paths, threshold=0.5)
+    assert mask.dtype == bool and mask.flags.f_contiguous
+    np.testing.assert_array_equal(mask, read_image_stack(paths) > 0.5)
+
+
 # numpy scalars, signed zero, the smallest subnormal and the largest finite
 # double: each must reparse to its exact bits
 EDGE_VALUES = {
@@ -321,6 +334,32 @@ def test_metrics_floats_reparse_exactly(tmp_path):
     back = read_metrics(path)
     for name, value in values.items():
         assert bits(back[name]) == bits(value)
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "auc\n", "a\rb", "a\x0cb"])
+def test_metrics_refuse_a_name_they_could_not_read_back(tmp_path, name):
+    path = tmp_path / "metrics.csv"
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        write_metrics(path, {"auc": 0.5, name: 1.0})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("bogus,0.5,0.25,1.0,2.0\n", "bogus"),
+        ("2,0.5,0.25,1.0,2.0\n1,0.1,0.01,1.2,2.4\n", "iter 2 where 1"),
+        ("2,0.1,0.01,1.2,2.4\n3,0.05,0.0,1.44,2.88\n", "iter 2 where 1"),
+        ("1,0.5,0.25,1.0,2.0\n3,0.05,0.0,1.44,2.88\n", "iter 3 where 2"),
+        ("1.0,0.5,0.25,1.0,2.0\n", "1.0,0.5"),
+    ],
+    ids=["bogus", "reordered", "truncated", "gap", "float"],
+)
+def test_trace_refuses_an_iter_column_that_does_not_count_from_1(tmp_path, text, row):
+    path = tmp_path / "trace.csv"
+    path.write_text("iter,err_rec,err_split,mu,mu_K\n" + text)
+    with pytest.raises(StorageError, match=re.escape(row)):
+        read_trace(path)
 
 
 @pytest.mark.parametrize(

@@ -13,9 +13,9 @@ from kdrsdl import SolverConfig, iterate, mode_product, reconstruct, shrink, sol
 from kdrsdl.solver import (
     SolverState,
     _gram,
-    _outliers_and_data,
     _target_a,
     _target_b,
+    _weighted_data,
 )
 
 RTOL = 1e-12
@@ -103,7 +103,8 @@ def test_stein_stack_matches_einsum(r, num, seed, order):
 @example(m=5, n=4, r=3, num=1, seed=4, mu=20.0, mu_k=0.1)
 def test_fused_pass_updates_match_reference_formulas(m, n, r, num, seed, mu, mu_k):
     # E = shrink(X - a K b.T + Lambda/mu, lam/mu), W = mu (X - E) + Lambda and
-    # Lambda' = Lambda + mu (X - E - a K' b'.T), the last after a whole pass
+    # Lambda' = Lambda + mu (X - E - a K' b'.T), the last after a whole pass,
+    # where the state carries v = mu (X - a K b.T) + Lambda
     r = min(r, m, n)
     rng = np.random.default_rng(seed)
     cfg = SolverConfig(r=r).resolved(m, n)
@@ -115,27 +116,27 @@ def test_fused_pass_updates_match_reference_formulas(m, n, r, num, seed, mu, mu_
     e_ref = shrink(x - low_rank + dual_rec / mu, cfg.lam / mu)
     w_ref = mu * (x - e_ref) + dual_rec
 
-    d = np.asfortranarray(x - low_rank)
-    e, w = _outliers_and_data(x, d, dual_rec, mu, cfg.lam, np.empty_like(x), np.empty_like(x))
-    assert w is d
-    assert_close(e, e_ref, x - low_rank, dual_rec / mu)
+    v = np.asfortranarray(mu * (x - low_rank) + dual_rec)
+    low = np.asfortranarray(low_rank)
+    w = _weighted_data(low, v, mu, cfg.lam, np.empty_like(x))
+    assert w is low
     assert_close(w, w_ref, mu * x, mu * e_ref, dual_rec)
 
     state = SolverState(
-        a=a, b=b, core=draw(rng, (r, r, num), "F"), split=split,
-        outliers=np.zeros_like(x), dual_rec=dual_rec.copy(order="F"),
+        a=a, b=b, core=draw(rng, (r, r, num), "F"), split=split, v=v,
         dual_split=draw(rng, (r, r, num), "F"), mu=mu, mu_k=mu_k,
         mu_cap=1e3, mu_k_cap=1e3,
     )
-    outliers, dual_rec_buffer = state.outliers, state.dual_rec
+    assert_close(state.outliers(cfg.lam), e_ref, x - low_rank, dual_rec / mu)
+    assert_close(state.dual_rec(x), dual_rec, mu * x, mu * low_rank, dual_rec)
     after = iterate(state, x, cfg)
     assert after is state and after.scratch is not None
-    assert after.outliers is outliers
-    assert after.dual_rec is dual_rec_buffer
-    assert_close(after.outliers, e_ref, x - low_rank, dual_rec / mu)
+    # the pass wrote L' into v's array and swapped it with the scratch's
+    assert after.scratch.low is v
     low_rank = np.einsum("ia,abk,jb->ijk", after.a, after.split, after.b)
+    assert_close(after.scratch.low, low_rank)
     assert_close(
-        after.dual_rec,
+        after.dual_rec(x),
         dual_rec + mu * (x - e_ref - low_rank),
-        dual_rec, mu * x, mu * e_ref, mu * low_rank,
+        dual_rec, after.mu * x, mu * e_ref, after.mu * low_rank,
     )

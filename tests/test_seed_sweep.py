@@ -61,8 +61,9 @@ def test_criterion_01_across_seeds(corruption_30):
     low = [relative_error(fac.low_rank(), truth.low_rank) for fac, truth in corruption_30]
     outliers = [relative_error(fac.outliers, truth.outliers) for fac, truth in corruption_30]
     report("criterion 1", "low-rank error", low, 1e-5, gated=True)
-    report("criterion 1", "outlier error", outliers, 1e-5, gated=False)
+    report("criterion 1", "outlier error", outliers, 1e-5, gated=True)
     assert max(low) <= 1e-5
+    assert max(outliers) <= 1e-5
 
 
 def test_criterion_08_across_seeds(corruption_30):
@@ -138,10 +139,11 @@ def test_synth_clean_instance_across_seeds():
         err_rec.append(fac.trace[-1, 0])
         converged.append(fac.converged)
     report("clean instance", "err_rec", err_rec, 1e-7, gated=True)
-    report("clean instance", "recovered density", densities, 0, gated=False)
-    report("clean instance", "outlier norm", outlier_norms, 0, gated=False)
+    report("clean instance", "recovered density", densities, 0, gated=True)
+    report("clean instance", "outlier norm", outlier_norms, 0, gated=True)
     print("clean instance, converged: " + ", ".join(map(str, converged)))
     assert max(err_rec) <= 1e-7
+    assert max(densities) == 0 and max(outlier_norms) == 0
     assert all(converged)
 
 

@@ -26,7 +26,7 @@ from kdrsdl import (
 )
 from kdrsdl import linalg, rpca, solver  # modules, for monkeypatching
 from kdrsdl.linalg import _one_blas_thread, _openblas_controls, shrink
-from kdrsdl.solver import _basis_a, _basis_b, _outliers_and_data
+from kdrsdl.solver import _basis_a, _basis_b, _weighted_data
 from kdrsdl.tensor import as_tensor, mode_product, slice_norms
 
 
@@ -37,7 +37,7 @@ def consistent_state(rng, m, n, num, r, config):
     core = rng.standard_normal((r, r, num))
     x = reconstruct(core, a, b)
     state = initialize(x, config)
-    state = replace(state, a=a, b=b, core=core.copy(), split=core.copy())
+    state = replace(state, a=a, b=b, core=core.copy(), split=core.copy(), v=np.zeros_like(x))
     return state, x
 
 
@@ -141,8 +141,7 @@ def test_initialize_shapes_and_column_norms():
         norms = np.linalg.norm(basis, axis=0)
         assert abs(norms[0] - 1) <= 1e-12
         assert np.all(np.diff(norms) <= 1e-12) and np.all(norms >= 0)
-    assert not state.outliers.any()
-    assert not state.dual_rec.any()
+    assert not state.dual_rec(x).any()
     assert not state.dual_split.any()
 
 
@@ -267,8 +266,8 @@ def test_initialize_zero_input_gives_zero_bases_and_eta_steps():
 
 
 def test_initialize_copies_no_data_sized_array():
-    # beyond E and Lambda, which the state holds, the start allocates only
-    # Gram-, r- and slice-sized arrays: a copy of x would add x.nbytes
+    # beyond v, which the state holds, the start allocates only Gram-, r-
+    # and slice-sized arrays: a copy of x would add x.nbytes
     x = np.asfortranarray(np.random.default_rng(15).standard_normal((40, 30, 50)))
     cfg = SolverConfig(r=5).resolved(40, 30)
     tracemalloc.start()
@@ -277,8 +276,8 @@ def test_initialize_copies_no_data_sized_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (2 + 0.5) * x.nbytes
-    assert state.outliers.nbytes + state.dual_rec.nbytes == 2 * x.nbytes
+    assert peak < (1 + 0.5) * x.nbytes
+    assert state.v.nbytes == x.nbytes
 
 
 def separated_stack(seed, m, n, num):
@@ -355,11 +354,11 @@ def test_iterate_fixed_point_of_consistent_state():
     state, x = consistent_state(rng, 10, 8, 4, 3, cfg)
     state = replace(state, mu=1e12, mu_k=1e4, mu_cap=1e20, mu_k_cap=1e12)
     after = iterate(state, x, cfg)
-    assert not after.outliers.any()
-    err_rec, err_split = errors_of(after, x)
+    assert not after.outliers(cfg.lam).any()
+    err_rec, err_split = errors_of(after, x, cfg)
     assert err_rec <= 1e-12
     assert err_split <= 1e-12
-    assert np.linalg.norm(after.dual_rec) / after.mu <= 1e-12 * np.linalg.norm(x)
+    assert np.linalg.norm(after.dual_rec(x)) / after.mu <= 1e-12 * np.linalg.norm(x)
     assert np.linalg.norm(after.dual_split) / after.mu_k <= 1e-12
 
 
@@ -379,22 +378,18 @@ def test_iterate_split_solves_stein_equation():
     cfg = SolverConfig(r=4).resolved(10, 10)
     state = initialize(x, cfg)
     # replay the pass up to the split update to get its inputs
-    d = x - reconstruct(state.split, state.a, state.b)
-    e, w = _outliers_and_data(
-        x, d, state.dual_rec, state.mu, cfg.lam, np.empty_like(x), np.empty_like(x)
-    )
-    x_fit = x - e
+    low_rank = reconstruct(state.split, state.a, state.b)
+    w = _weighted_data(low_rank, state.v, state.mu, cfg.lam, np.empty_like(x))
+    x_fit, dual_rec = x - state.outliers(cfg.lam), state.dual_rec(x)
     a = _basis_a(w, state.b, state.split, state.mu)
     b = _basis_b(mode_product(w, a.T, 1).T, state.split, a, state.mu)
-    # iterate overwrites E and Lambda in place, so it runs on a copy
-    after = iterate(
-        replace(state, outliers=state.outliers.copy(), dual_rec=state.dual_rec.copy()), x, cfg
-    )
+    # iterate writes over v's array, so it runs on a copy
+    after = iterate(replace(state, v=state.v.copy()), x, cfg)
     lhs = -(state.mu / state.mu_k) * (a.T @ a)
     rhs = b.T @ b
     for i in range(3):
         c = (
-            a.T @ (state.dual_rec[:, :, i] + state.mu * x_fit[:, :, i]) @ b
+            a.T @ (dual_rec[:, :, i] + state.mu * x_fit[:, :, i]) @ b
             + state.dual_split[:, :, i]
         ) / state.mu_k + state.core[:, :, i]
         k = after.split[:, :, i]
@@ -406,15 +401,15 @@ def test_iterate_split_solves_stein_equation():
 
 
 def state_bits(state):
-    fields = ("a", "b", "core", "split", "outliers", "dual_rec", "dual_split")
+    fields = ("a", "b", "core", "split", "v", "dual_split")
     return [getattr(state, name).tobytes() for name in fields]
 
 
 def test_carried_difference_matches_a_fresh_rebuild():
-    """The D = X - a K b.T a pass carries equals the rebuild a new state starts from.
+    """The L = a K b.T a pass carries equals the rebuild a new state starts from.
 
-    replace drops the scratch, so the fresh chain rebuilds D every pass;
-    the last pass gets a new x, for which the carried D must not be used.
+    replace drops the scratch, so the fresh chain rebuilds L every pass;
+    the last pass gets a new x, for which the carried scratch must not be used.
     """
     spec = SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=4)
     x, _ = generate(spec)
@@ -442,9 +437,9 @@ def test_iterate_advances_one_state_in_place(monkeypatch):
 
 
 def test_failed_pass_drops_the_scratch(monkeypatch):
-    """A failed pass leaves W in the scratch's D, so it must not be carried.
+    """A failed pass leaves W in the scratch's L, so it must not be carried.
 
-    Once the scratch is dropped the next pass rebuilds D, and the state
+    Once the scratch is dropped the next pass rebuilds L, and the state
     goes on exactly as one that never failed.
     """
     x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
@@ -501,7 +496,7 @@ def test_warm_pass_allocates_no_data_sized_array():
     tracemalloc.start()
     try:
         state = iterate(state, x, cfg)
-        errors_of(state, x)
+        errors_of(state, x, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -564,6 +559,20 @@ def test_step_size_schedule_exact():
     assert fac.trace[-1, 2] <= cap
 
 
+def test_solve_returns_the_e_step_its_last_check_measured():
+    """The returned E is the final state's E-step, so err_rec is the returned triple's."""
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=1))
+    fac = solve(x, SolverConfig(r=3, max_iter=6))
+    cfg = SolverConfig(r=3, max_iter=6).resolved(12, 10)
+    with _one_blas_thread():
+        state = initialize(x, cfg)
+        for _ in range(6):
+            iterate(state, x, cfg)
+    assert fac.outliers.tobytes() == state.outliers(cfg.lam).tobytes()
+    resid = x - fac.low_rank() - fac.outliers
+    assert abs(fac.trace[-1, 0] - np.max(slice_norms(resid) ** 2 / slice_norms(x) ** 2)) <= 1e-12
+
+
 def test_solve_zero_tensor_trivial():
     with pytest.warns(RuntimeWarning):
         fac = solve(np.zeros((5, 4, 3)), SolverConfig())
@@ -608,7 +617,7 @@ def test_errors_of_exact_state():
     rng = np.random.default_rng(5)
     cfg = SolverConfig(r=2).resolved(6, 5)
     state, x = consistent_state(rng, 6, 5, 3, 2, cfg)
-    err_rec, err_split = errors_of(state, x)
+    err_rec, err_split = errors_of(state, x, cfg)
     assert err_rec <= 1e-12
     assert err_split == 0.0
 
@@ -618,7 +627,7 @@ def test_errors_of_split_equal_core():
     x = rng.standard_normal((7, 6, 2))
     cfg = SolverConfig(r=3).resolved(7, 6)
     state = initialize(x, cfg)
-    _, err_split = errors_of(state, x)
+    _, err_split = errors_of(state, x, cfg)
     assert err_split == 0.0
 
 
@@ -628,9 +637,10 @@ def test_errors_of_perturbation_identity():
     cfg = SolverConfig(r=2).resolved(6, 5)
     state, x = consistent_state(rng, 6, 5, 3, 2, cfg)
     delta = 0.01 * rng.standard_normal((6, 5))
-    outliers = state.outliers.copy()
-    outliers[:, :, 1] += delta
-    err_rec, _ = errors_of(replace(state, outliers=outliers), x)
+    outliers = np.zeros_like(x)
+    outliers[:, :, 1] = delta
+    state, exact = with_outliers(state, cfg, outliers)
+    err_rec, _ = errors_of(state, x, exact)
     expected = np.linalg.norm(delta) ** 2 / np.linalg.norm(x[:, :, 1]) ** 2
     assert abs(err_rec - expected) <= 1e-12 * expected
 
@@ -644,18 +654,18 @@ def test_errors_of_floors_zero_slices_without_warning():
     x = np.zeros((4, 4, 2))
     cfg = SolverConfig(r=2).resolved(4, 4)
     state = initialize(x, cfg)
-    outliers, split = state.outliers.copy(), state.split.copy()
+    outliers, split = np.zeros_like(x), state.split.copy()
     outliers[0, 0, 0] = split[0, 0, 1] = 1e-150
-    state = replace(state, outliers=outliers, split=split)
+    state, exact = with_outliers(replace(state, split=split), cfg, outliers)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        err_rec, err_split = errors_of(state, x)
+        err_rec, err_split = errors_of(state, x, exact)
         assert err_rec == pytest.approx(1.0, rel=1e-12)
         assert err_split == pytest.approx(1.0, rel=1e-12)
         # and on the scratch's path, after a real pass
         x[0, 0, 1] = 1.0
         state = iterate(initialize(x, cfg), x, cfg)
-        assert errors_of(state, x) == pytest.approx(errors_of(replace(state), x), rel=1e-12)
+        assert errors_of(state, x, cfg) == pytest.approx(errors_of(replace(state), x, cfg), rel=1e-12)
 
 
 def test_errors_of_reads_an_overflowing_ratio_as_inf():
@@ -674,17 +684,25 @@ def test_errors_of_reads_an_overflowing_ratio_as_inf():
     assert slice_norms(state.split - state.core)[1] > 1e4
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        err_rec, err_split = errors_of(state, x)
+        err_rec, err_split = errors_of(state, x, cfg)
         assert err_split == np.inf
-        assert abs(err_rec - direct_err_rec(state, x)) <= 1e-12
-        err_rec, err_split = errors_of(replace(state), x)
+        assert abs(err_rec - direct_err_rec(state, x, cfg)) <= 1e-12
+        err_rec, err_split = errors_of(replace(state), x, cfg)
         assert err_split == np.inf
-        assert abs(err_rec - direct_err_rec(state, x)) <= 1e-12
+        assert abs(err_rec - direct_err_rec(state, x, cfg)) <= 1e-12
 
 
-def direct_err_rec(state, x):
+def with_outliers(state, cfg, outliers):
+    """A state and config under which the state's E-step gives outliers, to rounding.
+
+    E = shrink(v, lam) / mu, so at lam = 1e-300 v = mu E gives E.
+    """
+    return replace(state, v=state.mu * outliers), replace(cfg, lam=1e-300)
+
+
+def direct_err_rec(state, x, cfg):
     """err_rec from the residual X - a R b.T - E itself: the reference for errors_of."""
-    resid = x - reconstruct(state.core, state.a, state.b) - state.outliers
+    resid = x - reconstruct(state.core, state.a, state.b) - state.outliers(cfg.lam)
     return float(np.max(slice_norms(resid) ** 2 / slice_norms(x) ** 2))
 
 
@@ -711,9 +729,9 @@ def test_errors_of_matches_the_direct_residual(m, n, num, data, k, passes, seed)
     state = initialize(x, cfg)
     for _ in range(passes):
         iterate(state, x, cfg)
-    expected = direct_err_rec(state, x)
-    assert abs(errors_of(state, x)[0] - expected) <= 1e-12
-    assert abs(errors_of(replace(state), x)[0] - expected) <= 1e-12
+    expected = direct_err_rec(state, x, cfg)
+    assert abs(errors_of(state, x, cfg)[0] - expected) <= 1e-12
+    assert abs(errors_of(replace(state), x, cfg)[0] - expected) <= 1e-12
 
 
 def test_errors_of_reads_an_exact_zero_residual_as_zero():
@@ -726,14 +744,15 @@ def test_errors_of_reads_an_exact_zero_residual_as_zero():
     rng = np.random.default_rng(5)
     cfg = SolverConfig(r=2).resolved(6, 5)
     state, x = consistent_state(rng, 6, 5, 3, 2, cfg)
-    assert errors_of(state, x)[0] == 0.0
+    assert errors_of(state, x, cfg)[0] == 0.0
 
     x = np.ones((3, 1, 1))
-    state = initialize(x, SolverConfig(r=1).resolved(3, 1))
+    cfg = SolverConfig(r=1).resolved(3, 1)
+    state = initialize(x, cfg)
     ones = np.ones((1, 1, 1), order="F")
     state = replace(state, a=np.ones((3, 1)), b=np.ones((1, 1)), core=ones, split=2 * ones)
-    assert direct_err_rec(state, x) == 0.0
-    assert errors_of(state, x)[0] == 0.0
+    assert direct_err_rec(state, x, cfg) == 0.0
+    assert errors_of(state, x, cfg)[0] == 0.0
 
 
 def test_errors_of_builds_p_for_an_x_the_scratch_did_not_see():
@@ -747,34 +766,40 @@ def test_errors_of_builds_p_for_an_x_the_scratch_did_not_see():
     state = initialize(x, cfg)
     for _ in range(3):
         iterate(state, x, cfg)
-    stale = errors_of(state, x)[0]
+    stale = errors_of(state, x, cfg)[0]
     x2 = x + 0.5
-    got = errors_of(state, x2)[0]
+    got = errors_of(state, x2, cfg)[0]
     assert got != stale
-    assert abs(got - direct_err_rec(state, x2)) <= 1e-12
+    assert abs(got - direct_err_rec(state, x2, cfg)) <= 1e-12
 
-    fresh = replace(state, outliers=state.outliers + 0.25)
-    got = errors_of(fresh, x)[0]
+    fresh = replace(state, v=state.v + 0.25)
+    got = errors_of(fresh, x, cfg)[0]
     assert got != stale
-    assert abs(got - direct_err_rec(fresh, x)) <= 1e-12
+    assert abs(got - direct_err_rec(fresh, x, cfg)) <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:zero-norm slices")
-def test_solve_holds_four_data_sized_arrays():
-    """Beyond x, a solve holds E, Lambda, D and one block of slices.
+@pytest.mark.parametrize("m, n, num, r, bound", [(60, 80, 200, 1, 2.3), (100, 100, 50, 20, 3.0)])
+def test_solve_holds_three_data_sized_arrays(m, n, num, r, bound):
+    """Beyond x, a warm solve holds v, L and two blocks of slices.
 
-    At 60 x 80 x 200 the stack is 34 blocks of 6 slices. With a second
-    data-sized buffer for P the peak read 4.02x x.nbytes; it reads 3.05x.
+    At 60 x 80 x 200 the stack is 34 blocks of 6 slices, and the peak
+    reads 2.08x x.nbytes; at 100 x 100 x 50 with r = 20 the r-skinny
+    projections add to it, and it reads 2.74x. Holding E and Lambda apart
+    from v read 3.05x and 3.68x, and a further data-sized buffer for P
+    4.02x at the first size.
     """
-    spec = SyntheticSpec(m=60, n=80, num_slices=200, rank_a=1, rank_b=1, r=1, p=0.7, seed=0)
+    spec = SyntheticSpec(m=m, n=n, num_slices=num, rank_a=min(r, 5), rank_b=min(r, 5), r=r,
+                         p=0.7, seed=0)
     x, _ = generate(spec)
+    solve(x, SolverConfig(r=r, max_iter=3))
     tracemalloc.start()
     try:
-        solve(x, SolverConfig(r=1, max_iter=3))
+        solve(x, SolverConfig(r=r, max_iter=3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * x.nbytes
+    assert peak < bound * x.nbytes
 
 
 def distinct_block_sizes(m, n, num):
@@ -845,7 +870,7 @@ def test_errors_of_reads_the_scratch_as_a_rebuild_would(m, n, num, r):
     state = initialize(x, cfg)
     for _ in range(8):
         iterate(state, x, cfg)
-        assert errors_of(state, x) == errors_of(state, np.copy(x, order="F"))
+        assert errors_of(state, x, cfg) == errors_of(state, np.copy(x, order="F"), cfg)
 
 
 @pytest.mark.parametrize("r", [2, 20])
@@ -860,7 +885,7 @@ def test_residual_check_does_not_raise_the_warm_pass_peak(r):
         iterate(state, x, cfg)
         _, pass_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        errors_of(state, x)
+        errors_of(state, x, cfg)
         _, check_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
