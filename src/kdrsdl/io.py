@@ -248,7 +248,7 @@ def read_trace(path):
     The iter column must count 1, 2, ..., k: a reordered or truncated
     trace, or an iter that is not an integer, raises StorageError.
     """
-    rows = _read_table(path, TRACE_COLUMNS, lambda fields: [int(fields[0]), *map(float, fields[1:])])
+    rows = _read_table(path, TRACE_COLUMNS, lambda f: [int(f[0]), *map(float, f[1:])])
     for expected, (it, *_) in enumerate(rows, 1):
         if it != expected:
             raise StorageError(f"{path}: iter {it} where {expected} was expected")

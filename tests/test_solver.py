@@ -665,7 +665,8 @@ def test_errors_of_floors_zero_slices_without_warning():
         # and on the scratch's path, after a real pass
         x[0, 0, 1] = 1.0
         state = iterate(initialize(x, cfg), x, cfg)
-        assert errors_of(state, x, cfg) == pytest.approx(errors_of(replace(state), x, cfg), rel=1e-12)
+        rebuilt = errors_of(replace(state), x, cfg)
+        assert errors_of(state, x, cfg) == pytest.approx(rebuilt, rel=1e-12)
 
 
 def test_errors_of_reads_an_overflowing_ratio_as_inf():
