@@ -20,22 +20,13 @@ step's) and two products with the weighted data W = mu (X - E) + Lambda:
 one for the A target and the projection W_i.T @ A that both the B target
 and the split update reuse.
 
-A solve holds three data-sized arrays: X, v = mu (X - a K b.T) + Lambda
-and one buffer for L = a K b.T and W. With the exact E-step
-E = shrink(v, lam) / mu, W = mu L + clip(v, -lam, lam) and the dual step
-is Lambda' = W - mu L' (Boyd et al. 2011, section 3.3), so neither E nor
-Lambda is an array: solve returns the last E-step, made in v's array,
-and the residual check measures that E.
-
-The data-sized work of a pass is two sweeps over blocks of slices that
-stay in cache: the first makes W over L, the second the rebuild L' into
-v's array, then v' = mu' (X - L') + Lambda' over W, and the check's
-per-slice sums over P = X - L' - E'. The two arrays then swap roles.
-Each slice's sums come from that slice alone, so they equal a rebuild's
-bit for bit whatever the block size. The products with W between the
-sweeps run on the whole stack, as the A target sums over every slice.
-SolverState states what its pass scratch carries between passes and
-when it is dropped.
+With v = mu (X - a K b.T) + Lambda, the exact E-step is
+E = shrink(v, lam) / mu, so W = mu L + clip(v, -lam, lam) for
+L = a K b.T, and the dual step is Lambda' = W - mu L' (Boyd et al.
+2011, section 3.3). Neither E nor Lambda is an array: a solve holds
+three data-sized arrays, X, v and W, and returns the last E-step, made
+in v's array. iterate states the one data sweep of a pass, and
+SolverState what a pass carries to the next.
 """
 
 import numbers
@@ -45,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import _one_blas_thread, shrink, solve_gram_system, solve_stein, symmetric_eig
-from .tensor import as_tensor, mode_product, reconstruct, slice_norms
+from .tensor import as_tensor, mode_product, rebuilder, reconstruct, slice_norms
 
 TINY_DENOM = 1e-300
 ZERO_NORM_WARNING = "zero-norm slices in the convergence denominators"
@@ -124,11 +115,15 @@ class SolverConfig:
 class _Scratch:
     # the pass scratch; SolverState's docstring states what it holds
     x: np.ndarray
+    lam: float
     x_sq: np.ndarray
-    low: np.ndarray
+    w: np.ndarray
     block: np.ndarray
     p_sq: np.ndarray
     cross: np.ndarray
+
+    def serves(self, x, lam):
+        return self.x is x and self.lam == lam
 
     def blocks(self):
         # (slice range of each block, the two block buffers cut to its length)
@@ -147,19 +142,20 @@ class SolverState:
     which solve returns, and dual_rec gives Lambda. A state made with
     replace keeps v, so new factors change its Lambda, not its E.
 
-    iterate advances a state in place and keeps on it, in scratch, the
-    buffers every pass of a solve reuses, built by the first pass for one
-    x: the data-sized low, two blocks of slices, x_sq the squared slice
-    norms of x, and the r-sized p_sq and cross. Between passes low holds
-    L = a K b.T for the state's factors, which the next pass, given the
-    same x, starts from; p_sq and cross hold ||P_i||^2 and b.T P_i.T a
-    for P = X - a K b.T - E with the state's E, bit for bit the sums a
-    rebuild of P gives, which errors_of reads in place of a data sweep.
-    So a solve holds three data-sized arrays (X, v and low), and no pass
-    after the first allocates one. The scratch is valid while only
-    iterate advances the state: it is not an argument of the constructor,
-    dataclasses.replace drops it, and so does a pass that fails, as its
-    low then holds W. An edited state never shows a stale L or P.
+    iterate keeps on the state, in scratch, what every pass of a solve
+    reuses, built by the first pass for one x and one lam: the
+    data-sized w, two blocks of slices, x_sq the squared slice norms of
+    x, and the r-sized p_sq and cross. Between passes w holds the
+    weighted data W = mu L + clip(v, -lam, lam) for the state's
+    L = a K b.T, mu and v, which the next pass starts from; p_sq and
+    cross hold ||P_i||^2 and b.T P_i.T a for P = X - L - E with the
+    state's E, bit for bit the sums a rebuild of P gives, which
+    errors_of reads in place of a data sweep. The first pass makes W
+    from a rebuild of L, and no later pass allocates a data-sized array.
+    The scratch is valid while only iterate advances the state: it is
+    not an argument of the constructor, dataclasses.replace drops it,
+    so does a pass that fails, and a pass for another x or lam builds it
+    anew. An edited state never shows a stale W or P.
     """
 
     a: np.ndarray            # m x r basis
@@ -344,29 +340,34 @@ def _update_core(split, dual_split, mu_k, alpha):
 def iterate(state, x, config):
     """Run one full pass that advances state in place, and return state.
 
-    The pass assigns every iterate and the pass count on state, in the
-    two sweeps the module docstring states. It writes the new L into v's
-    array and the new v into low's, and swaps them; dual_split gets a new
-    array, as states made with replace share it. It builds, reuses and
-    drops the scratch as SolverState states. Numerical failures in the
-    basis or split updates are re-raised as SolverError carrying the pass
-    number.
+    The pass assigns every iterate and the pass count on state. It
+    starts at the A solve, from the scratch's W (see SolverState); the
+    products with W run on the whole stack, as the A target sums over
+    every slice. Then one sweep over blocks of slices that stay in cache
+    makes per block: L' into v's array; Lambda' = W - mu L', then
+    v' = mu' (X - L') + Lambda', over W; the next pass's
+    W' = mu' L' + clip(v', -lam, lam) over L'; and the check's sums over
+    P = X - L' - E' for the E-step E' = (v' - clip(v')) / mu'. Each
+    slice's sums come from that slice alone, so they equal a rebuild's
+    bit for bit whatever the block size. The two arrays then swap roles;
+    dual_split gets a new array, as states made with replace share it.
+    Numerical failures in the basis or split updates are re-raised as
+    SolverError carrying the pass number.
     """
+    mu, mu_k, lam = state.mu, state.mu_k, config.lam
     work = state.scratch
-    if work is None or work.x is not x:
+    if work is None or not work.serves(x, lam):
         (m, n, num), r = x.shape, len(state.split)
         step = min(num, max(1, BLOCK_BYTES // (8 * m * n)))
         work = state.scratch = _Scratch(
-            x, slice_norms(x) ** 2, reconstruct(state.split, state.a, state.b),
+            x, lam, slice_norms(x) ** 2, reconstruct(state.split, state.a, state.b),
             np.empty((m, n, step, 2), order="F"), np.empty(num), np.empty((num, r, r)),
         )
         state.v = np.asarray(state.v, order="F")  # the rebuild writes into its slices
-    mu, mu_k, lam = state.mu, state.mu_k, config.lam
-    low, v = work.low, state.v
-    try:
         for j, c, _ in work.blocks():
-            _weighted_data(low[..., j], v[..., j], mu, lam, c)
-        w = low  # the sweep wrote W over L
+            _weighted_data(work.w[..., j], state.v[..., j], mu, lam, c)
+    w, v = work.w, state.v
+    try:
         a = _basis_a(w, state.b, state.split, mu)
         wa = mode_product(w, a.T, 1).T  # slices W_i.T @ a, stacked (N, n, r)
         b = _basis_b(wa, state.split, a, mu)
@@ -379,22 +380,22 @@ def iterate(state, x, config):
             f"iteration {state.iteration + 1}: {exc}", state.iteration + 1, None
         ) from exc
     mu_next = min(state.mu_cap, RHO * mu)
-    # per block: L' into v's array, then Lambda' = W - mu L' and
-    # v' = mu' D' + Lambda' over W, with D' = X - L', and the sums over
-    # P = D' - E' for the E-step E' = (v' - clip(v')) / mu' that errors_of reads
+    rebuild = rebuilder(a, b)
     for j, t, p in work.blocks():
-        lj, wj = mode_product(mode_product(k[..., j], a, 1), b, 2, out=v[..., j]), w[..., j]
+        lj, wj = rebuild(k[..., j], out=v[..., j]), w[..., j]
         np.multiply(lj, mu, out=t)
         np.subtract(wj, t, out=wj)
         np.subtract(x[..., j], lj, out=t)
         np.multiply(t, mu_next, out=p)
         wj += p
         np.clip(wj, -lam, lam, out=p)
+        lj *= mu_next
+        lj += p
         np.subtract(wj, p, out=p)
         p *= 1 / mu_next
         np.subtract(t, p, out=p)
         work.p_sq[j], work.cross[j] = _residual_terms(p, a, b)
-    state.v, work.low = w, v
+    state.v, work.w = w, v
     state.a, state.b, state.core, state.split = a, b, core, k
     state.dual_split = state.dual_split + mu_k * (core - k)
     state.mu, state.mu_k = mu_next, min(state.mu_k_cap, RHO * mu_k)
@@ -417,13 +418,14 @@ def errors_of(state, x, config):
     Delta_i>, clamped at 0 against rounding: ||P_i||^2 and the r-skinny
     projection a.T P_i b, then r x r work.
 
-    When the state's scratch (see SolverState) was built for this x, it
-    checks the pass iterate just made from the sums the scratch holds and
-    reads no data-sized array. Any other state or x has P built here, and
-    the same sums of it give the scratch's values bit for bit.
+    When the state's scratch (see SolverState) was built for this x and
+    lam, it checks the pass iterate just made from the sums the scratch
+    holds and reads no data-sized array. Any other state, x or lam has P
+    built here, and the same sums of it give the scratch's values bit
+    for bit.
     """
     a, b, work = state.a, state.b, state.scratch
-    if work is not None and work.x is x:
+    if work is not None and work.serves(x, config.lam):
         p_sq, cross, x_sq = work.p_sq, work.cross, work.x_sq
     else:
         p = x - reconstruct(state.split, a, b) - state.outliers(config.lam)
@@ -445,26 +447,6 @@ def errors_of(state, x, config):
         err_rec = float(np.max(resid_sq / np.maximum(x_sq, TINY_DENOM)))
         err_split = float(np.max(gap_sq / np.maximum(core_sq, TINY_DENOM)))
     return err_rec, err_split
-
-
-def lagrangian(state, x, config, outliers, dual_rec):
-    """Value of the augmented Lagrangian at the state's factors, E and Lambda.
-
-    The caller passes E and Lambda, which the blocks after the E-step
-    hold fixed. Used to verify each pass step is an exact block
-    minimizer; not needed by the iteration itself.
-    """
-    resid = x - reconstruct(state.split, state.a, state.b) - outliers
-    gap = state.core - state.split
-    return (
-        config.alpha * np.abs(state.core).sum()
-        + config.lam * np.abs(outliers).sum()
-        + 0.5 * (np.sum(state.a**2) + np.sum(state.b**2))
-        + np.vdot(dual_rec, resid)
-        + np.vdot(state.dual_split, gap)
-        + 0.5 * state.mu * np.sum(resid**2)
-        + 0.5 * state.mu_k * np.sum(gap**2)
-    )
 
 
 def solve(x, config=None):
@@ -514,8 +496,8 @@ def solve(x, config=None):
             rows.append((*errors, mu, mu_k))
             converged = cfg.stops(*errors)
         # the state's E-step, the E the last check measured, made in v's
-        # array, with low (free now) holding clip(v)
-        outliers, c = state.v, state.scratch.low
+        # array, with W's (free now) holding clip(v)
+        outliers, c = state.v, state.scratch.w
         np.clip(outliers, -cfg.lam, cfg.lam, out=c)
         outliers -= c
         outliers *= 1 / state.mu

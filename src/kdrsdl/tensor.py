@@ -8,11 +8,12 @@ then column, then slice. It is the element order of the on-disk format,
 so files are read and written without a copy, and it makes ``t.T`` a free
 C-contiguous (N, n, m) stack of the transposed slices. Every product of
 a stack with a basis, in the solver too (bar the residual check's sums,
-taken slice by slice), is a mode_product on that stack: a mode-1 product
-is one tall GEMM, as the transposed slices stack into one (N*n x m)
-matrix, and a mode-2 product is one batched ``matmul``. Every routine
-brings its tensor to the canonical layout first (a copy for any other
-layout), so no result depends on the layout of its tensor.
+taken slice by slice, and the rank-1 rebuild, one broadcast multiply),
+is a mode_product on that stack: a mode-1 product is one tall GEMM, as
+the transposed slices stack into one (N*n x m) matrix, and a mode-2
+product is one batched ``matmul``. Every routine brings its tensor to
+the canonical layout first (a copy for any other layout), so no result
+depends on the layout of its tensor.
 """
 
 import numpy as np
@@ -81,11 +82,33 @@ def reconstruct(core, a, b):
     """Assemble the low-rank tensor with slices a @ R_i @ b.T.
 
     core has shape (r, r, N), a is m x r, b is n x r; the result is
-    (m, n, N). It is the mode-1 product with a, then the mode-2 product
-    with b: the small products a @ R_i as one GEMM, then one batched
-    matmul with b.
+    (m, n, N). It is rebuilder(a, b) applied to core, so every rebuild
+    of a low-rank part gets the same bits.
     """
-    return mode_product(mode_product(core, a, 1), b, 2)
+    return rebuilder(a, b)(core)
+
+
+def rebuilder(a, b):
+    """The map core -> slices a @ R_i @ b.T for fixed bases, with mode_product's out.
+
+    At r = 1 it is one broadcast multiply of each R_i by the outer
+    product a b.T, formed here once in Fortran order, in which the
+    multiply runs about three times faster than in C order. Otherwise it
+    is the mode-1 product with a, one GEMM, then the mode-2 product with
+    b, one batched matmul.
+    """
+    if a.shape[1] != 1 or b.shape[1] != 1:
+        return lambda core, out=None: mode_product(mode_product(core, a, 1), b, 2, out=out)
+    outer = np.outer(b[:, 0], a[:, 0]).T[:, :, None]
+
+    def rebuild(core, out=None):
+        if core.shape[:2] != (1, 1):
+            raise ValueError(f"rank-1 bases need 1 x 1 core slices, got {core.shape}")
+        if out is None:
+            out = np.empty((len(a), len(b), core.shape[2]), order="F")
+        return np.multiply(outer, core[0, 0], out=out)
+
+    return rebuild
 
 
 def slice_norms(t):

@@ -37,7 +37,6 @@ from kdrsdl.solver import (
     _split,
     _update_core,
     _weighted_data,
-    lagrangian,
 )
 from kdrsdl.synthetic import density
 
@@ -140,6 +139,25 @@ def test_criterion_06_kronecker_norm_identities():
         bound = np.sqrt(min(k.shape)) * np.linalg.norm(k) + 1e-10
         assert np.linalg.norm(k, "nuc") <= bound
     announce(6, "100 Kronecker pairs satisfy both norm identities (bound 1e-12 relative)")
+
+
+def lagrangian(state, x, config, outliers, dual_rec):
+    """Value of the augmented Lagrangian at the state's factors, E and Lambda.
+
+    The caller passes E and Lambda, which the blocks after the E-step
+    hold fixed.
+    """
+    resid = x - reconstruct(state.split, state.a, state.b) - outliers
+    gap = state.core - state.split
+    return (
+        config.alpha * np.abs(state.core).sum()
+        + config.lam * np.abs(outliers).sum()
+        + 0.5 * (np.sum(state.a**2) + np.sum(state.b**2))
+        + np.vdot(dual_rec, resid)
+        + np.vdot(state.dual_split, gap)
+        + 0.5 * state.mu * np.sum(resid**2)
+        + 0.5 * state.mu_k * np.sum(gap**2)
+    )
 
 
 def test_criterion_07_block_updates_never_increase_objective():

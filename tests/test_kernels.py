@@ -47,7 +47,12 @@ def test_rebuild_matches_einsum(m, n, r, num, seed, order):
     assert got.shape == (m, n, num)
     assert got.flags.f_contiguous
     assert_close(got, np.einsum("ia,abk,jb->ijk", a, core, b))
-    assert got.tobytes() == mode_product(mode_product(core, a, 1), b, 2).tobytes()
+    # r = 1 is one broadcast multiply R_i (a b.T), r >= 2 the two mode products
+    if r == 1:
+        expected = np.outer(a[:, 0], b[:, 0])[:, :, None] * core[0, 0]
+    else:
+        expected = mode_product(mode_product(core, a, 1), b, 2)
+    assert got.tobytes() == expected.tobytes()
 
 
 @shapes
@@ -104,7 +109,8 @@ def test_stein_stack_matches_einsum(r, num, seed, order):
 def test_fused_pass_updates_match_reference_formulas(m, n, r, num, seed, mu, mu_k):
     # E = shrink(X - a K b.T + Lambda/mu, lam/mu), W = mu (X - E) + Lambda and
     # Lambda' = Lambda + mu (X - E - a K' b'.T), the last after a whole pass,
-    # where the state carries v = mu (X - a K b.T) + Lambda
+    # where the state carries v = mu (X - a K b.T) + Lambda, and the pass
+    # leaves the next pass's W' = mu' L' + clip(v') in the scratch
     r = min(r, m, n)
     rng = np.random.default_rng(seed)
     cfg = SolverConfig(r=r).resolved(m, n)
@@ -131,10 +137,12 @@ def test_fused_pass_updates_match_reference_formulas(m, n, r, num, seed, mu, mu_
     assert_close(state.dual_rec(x), dual_rec, mu * x, mu * low_rank, dual_rec)
     after = iterate(state, x, cfg)
     assert after is state and after.scratch is not None
-    # the pass wrote L' into v's array and swapped it with the scratch's
-    assert after.scratch.low is v
+    # the pass wrote L', then W' over it, into v's array and swapped it
+    # with the scratch's
+    assert after.scratch.w is v
     low_rank = np.einsum("ia,abk,jb->ijk", after.a, after.split, after.b)
-    assert_close(after.scratch.low, low_rank)
+    clipped = np.clip(after.v, -cfg.lam, cfg.lam)
+    assert_close(after.scratch.w, after.mu * low_rank + clipped, after.mu * low_rank)
     assert_close(
         after.dual_rec(x),
         dual_rec + mu * (x - e_ref - low_rank),

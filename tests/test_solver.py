@@ -24,7 +24,7 @@ from kdrsdl import (
     rpca_slices,
     solve,
 )
-from kdrsdl import linalg, rpca, solver  # modules, for monkeypatching
+from kdrsdl import linalg, rpca, solver, tensor  # modules, for monkeypatching
 from kdrsdl.linalg import _one_blas_thread, _openblas_controls, shrink
 from kdrsdl.solver import _basis_a, _basis_b, _weighted_data
 from kdrsdl.tensor import as_tensor, mode_product, slice_norms
@@ -406,9 +406,9 @@ def state_bits(state):
 
 
 def test_carried_difference_matches_a_fresh_rebuild():
-    """The L = a K b.T a pass carries equals the rebuild a new state starts from.
+    """The W a pass carries equals the one a new state makes from a rebuild of L.
 
-    replace drops the scratch, so the fresh chain rebuilds L every pass;
+    replace drops the scratch, so the fresh chain rebuilds W every pass;
     the last pass gets a new x, for which the carried scratch must not be used.
     """
     spec = SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=4)
@@ -421,6 +421,48 @@ def test_carried_difference_matches_a_fresh_rebuild():
         assert fresh.scratch is None
         fresh = iterate(fresh, data, cfg)
         assert state_bits(carried) == state_bits(fresh)
+
+
+def test_a_new_lam_rebuilds_the_scratch():
+    """The carried W holds clip(v, -lam, lam), so a pass under another lam makes it anew.
+
+    The pass under the new lam, and the check after it, equal those of
+    the same state with its scratch dropped, bit for bit.
+    """
+    x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=4))
+    cfg = SolverConfig(r=3).resolved(12, 10)
+    other = replace(cfg, lam=0.5 * cfg.lam)
+    carried, fresh = initialize(x, cfg), initialize(x, cfg)
+    for state in (carried, fresh):
+        iterate(state, x, cfg)
+        iterate(state, x, cfg)
+    fresh = replace(fresh)
+    carried, fresh = iterate(carried, x, other), iterate(fresh, x, other)
+    assert state_bits(carried) == state_bits(fresh)
+    assert errors_of(carried, x, other) == errors_of(fresh, x, other)
+    assert carried.scratch.w.tobytes() == fresh.scratch.w.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rank_one_rebuild_moves_only_the_last_bits(monkeypatch, seed):
+    """At r = 1 the broadcast rebuild R_i (a b.T) stands in for the two mode products.
+
+    A solve with every rebuild made by the mode products takes the same
+    passes, and its outliers agree to rounding.
+    """
+    x, _ = generate(SyntheticSpec(30, 40, 24, 1, 1, 1, 0.7, seed))
+    fit = solve(x, SolverConfig(r=1))
+
+    def mode_product_rebuilder(a, b):
+        return lambda core, out=None: mode_product(mode_product(core, a, 1), b, 2, out=out)
+
+    monkeypatch.setattr(tensor, "rebuilder", mode_product_rebuilder)
+    monkeypatch.setattr(solver, "rebuilder", mode_product_rebuilder)
+    reference = solve(x, SolverConfig(r=1))
+    assert fit.converged and fit.iterations == reference.iterations
+    assert fit.outliers.tobytes() != reference.outliers.tobytes()
+    gap = np.linalg.norm(fit.outliers - reference.outliers)
+    assert gap <= 1e-12 * np.linalg.norm(reference.outliers)
 
 
 def test_iterate_advances_one_state_in_place(monkeypatch):
@@ -437,9 +479,9 @@ def test_iterate_advances_one_state_in_place(monkeypatch):
 
 
 def test_failed_pass_drops_the_scratch(monkeypatch):
-    """A failed pass leaves W in the scratch's L, so it must not be carried.
+    """A failed pass drops the scratch, as SolverState states.
 
-    Once the scratch is dropped the next pass rebuilds L, and the state
+    The next pass then makes W anew from a rebuild of L, and the state
     goes on exactly as one that never failed.
     """
     x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
@@ -504,27 +546,34 @@ def test_warm_pass_allocates_no_data_sized_array():
 
 
 def test_pass_frees_the_projection_before_the_rebuild(monkeypatch):
-    """The (N, n, r) projection W_i.T @ A is dead when the dual step's rebuild writes D.
+    """The (N, n, r) projection W_i.T @ A is dead when the dual step's rebuild writes L'.
 
     The projection is the pass's one mode-1 product of a data-sized
-    tensor. This stack is one block, so the rebuild writes D with one
-    mode-2 product.
+    tensor. This stack is one block, so the pass makes one rebuild.
     """
     x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=3, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
     cfg = SolverConfig(r=3).resolved(12, 10)
     state = iterate(initialize(x, cfg), x, cfg)
-    product = solver.mode_product
+    product, rebuilder = solver.mode_product, solver.rebuilder
     projections, alive = [], []
 
     def checking_mode_product(t, u, mode, out=None):
-        if mode == 2 and out is not None:
-            alive.append([ref() is not None for ref in projections])
         result = product(t, u, mode, out=out)
         if mode == 1 and t.shape == x.shape:
             projections.append(weakref.ref(result))
         return result
 
+    def checking_rebuilder(a, b):
+        rebuild = rebuilder(a, b)
+
+        def checking_rebuild(core, out=None):
+            alive.append([ref() is not None for ref in projections])
+            return rebuild(core, out=out)
+
+        return checking_rebuild
+
     monkeypatch.setattr(solver, "mode_product", checking_mode_product)
+    monkeypatch.setattr(solver, "rebuilder", checking_rebuilder)
     iterate(state, x, cfg)
     assert len(projections) == 1
     assert alive == [[False]]
@@ -1058,6 +1107,7 @@ def layouts(t):
        rank=st.integers(1, 5), r=st.integers(1, 10), p=st.integers(1, 40),
        seed=st.integers(0, 2**32 - 1))
 @example(m=50, n=50, num=20, rank=5, r=10, p=10, seed=1)
+@example(m=24, n=32, num=6, rank=1, r=1, p=3, seed=0)
 def test_results_bit_identical_in_any_memory_layout(m, n, num, rank, r, p, seed):
     """solve, mode_product in either mode and reconstruct read every layout alike."""
     r = min(r, m, n)

@@ -145,6 +145,11 @@ def test_reconstruct_dimension_mismatch():
         reconstruct(np.zeros((2, 3, 2)), np.ones((4, 3)), np.ones((5, 3)))
 
 
+def test_rank_one_reconstruct_refuses_a_wider_core():
+    with pytest.raises(ValueError, match="1 x 1 core slices"):
+        reconstruct(np.zeros((2, 2, 3)), np.ones((4, 1)), np.ones((5, 1)))
+
+
 def test_orthogonal_bases_preserve_core_norm():
     for seed in range(10):
         rng = np.random.default_rng(seed)
