@@ -831,7 +831,7 @@ def test_errors_of_builds_p_for_an_x_the_scratch_did_not_see():
 @pytest.mark.filterwarnings("ignore:zero-norm slices")
 @pytest.mark.parametrize("m, n, num, r, bound", [(60, 80, 200, 1, 2.3), (100, 100, 50, 20, 3.0)])
 def test_solve_holds_three_data_sized_arrays(m, n, num, r, bound):
-    """Beyond x, a warm solve holds v, L and two blocks of slices.
+    """Beyond x, a warm solve holds v, the buffer for L and W, and two blocks of slices.
 
     At 60 x 80 x 200 the stack is 34 blocks of 6 slices, and the peak
     reads 2.08x x.nbytes; at 100 x 100 x 50 with r = 20 the r-skinny

@@ -143,9 +143,6 @@ def test_reconstruct_slicewise_formula():
 def test_reconstruct_dimension_mismatch():
     with pytest.raises(ValueError):
         reconstruct(np.zeros((2, 3, 2)), np.ones((4, 3)), np.ones((5, 3)))
-
-
-def test_rank_one_reconstruct_refuses_a_wider_core():
     with pytest.raises(ValueError, match="1 x 1 core slices"):
         reconstruct(np.zeros((2, 2, 3)), np.ones((4, 1)), np.ones((5, 1)))
 
