@@ -19,16 +19,7 @@ from .io import (
 from .linalg import shrink, solve_stein
 from .metrics import psnr, relative_error, roc_auc
 from .rpca import RpcaResult, rpca_ialm, rpca_slices, svt
-from .solver import (
-    Factorization,
-    SolverConfig,
-    SolverError,
-    SolverState,
-    errors_of,
-    initialize,
-    iterate,
-    solve,
-)
+from .solver import Factorization, SolverConfig, SolverError, solve
 from .synthetic import GroundTruth, SyntheticSpec, density, generate
 from .tensor import as_tensor, mode_product, reconstruct
 
@@ -40,14 +31,10 @@ __all__ = [
     "RpcaResult",
     "SolverConfig",
     "SolverError",
-    "SolverState",
     "SyntheticSpec",
     "as_tensor",
     "density",
-    "errors_of",
     "generate",
-    "initialize",
-    "iterate",
     "load_bundle",
     "mode_product",
     "psnr",

@@ -311,25 +311,34 @@ def load_bundle(bundle_dir):
     """Reload a saved bundle as a (Factorization, manifest dict) pair.
 
     Reconstruction from the reloaded factors reproduces the low-rank
-    part bit-identically, since the container preserves every bit.
+    part bit-identically, since the container preserves every bit. The
+    files must agree: for the rows m of A, n of B and r of R and the
+    slices N of E, A is m x r x 1, B is n x r x 1, R is r x r x N, E is
+    m x n x N, and the trace has the manifest's iterations rows. A file
+    that disagrees raises StorageError naming it and both shapes.
     """
     bundle_dir = Path(bundle_dir)
     for name in BUNDLE_FILES:
         if not (bundle_dir / name).exists():
             raise StorageError(f"{bundle_dir}: bundle is missing {name}")
-    a = read_tensor(bundle_dir / "A.kdt")[:, :, 0]
-    b = read_tensor(bundle_dir / "B.kdt")[:, :, 0]
-    core = read_tensor(bundle_dir / "R.kdt")
-    outliers = read_tensor(bundle_dir / "E.kdt")
+    a, b, core, outliers = (read_tensor(bundle_dir / name) for name in BUNDLE_FILES[:4])
     trace = read_trace(bundle_dir / "trace.csv")
     manifest = read_manifest(bundle_dir / "manifest.json")
+    iterations = int(manifest.get("iterations", len(trace)))
+    m, n, r, num = a.shape[0], b.shape[0], core.shape[0], outliers.shape[2]
+    expected = ((m, r, 1), (n, r, 1), (r, r, num), (m, n, num), (iterations, 4))
+    for name, t, shape in zip(BUNDLE_FILES, (a, b, core, outliers, trace), expected):
+        if t.shape != shape:
+            raise StorageError(
+                f"{bundle_dir / name}: shape {t.shape} where the bundle's other files give {shape}"
+            )
     fac = Factorization(
-        a=a,
-        b=b,
+        a=a[:, :, 0],
+        b=b[:, :, 0],
         core=core,
         outliers=outliers,
         trace=trace,
         converged=bool(manifest.get("converged", False)),
-        iterations=int(manifest.get("iterations", len(trace))),
+        iterations=iterations,
     )
     return fac, manifest

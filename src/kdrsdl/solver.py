@@ -24,9 +24,8 @@ With v = mu (X - a K b.T) + Lambda, the exact E-step is
 E = shrink(v, lam) / mu, so W = mu L + clip(v, -lam, lam) for
 L = a K b.T, and the dual step is Lambda' = W - mu L' (Boyd et al.
 2011, section 3.3). Neither E nor Lambda is an array: a solve holds
-three data-sized arrays, X, v and W, and returns the last E-step, made
-in v's array. iterate states the one data sweep of a pass, and
-SolverState what a pass carries to the next.
+three data-sized arrays, X, v and W. iterate states the one data sweep
+of a pass, and SolverState what a pass carries to the next.
 """
 
 import numbers
@@ -142,20 +141,19 @@ class SolverState:
     which solve returns, and dual_rec gives Lambda. A state made with
     replace keeps v, so new factors change its Lambda, not its E.
 
-    iterate keeps on the state, in scratch, what every pass of a solve
-    reuses, built by the first pass for one x and one lam: the
-    data-sized w, two blocks of slices, x_sq the squared slice norms of
-    x, and the r-sized p_sq and cross. Between passes w holds the
-    weighted data W = mu L + clip(v, -lam, lam) for the state's
-    L = a K b.T, mu and v, which the next pass starts from; p_sq and
-    cross hold ||P_i||^2 and b.T P_i.T a for P = X - L - E with the
-    state's E, bit for bit the sums a rebuild of P gives, which
-    errors_of reads in place of a data sweep. The first pass makes W
-    from a rebuild of L, and no later pass allocates a data-sized array.
-    The scratch is valid while only iterate advances the state: it is
-    not an argument of the constructor, dataclasses.replace drops it,
-    so does a pass that fails, and a pass for another x or lam builds it
-    anew. An edited state never shows a stale W or P.
+    scratch holds what every pass of a solve reuses, built by the first
+    pass of iterate for one x and one lam: the data-sized w, two blocks
+    of slices, x_sq the squared slice norms of x, and the r-sized p_sq
+    and cross. After a pass, w holds the weighted data
+    W = mu L + clip(v, -lam, lam) for the state's L = a K b.T, mu and v,
+    which the next pass starts from, and p_sq and cross hold ||P_i||^2
+    and b.T P_i.T a for P = X - L - E with the state's E, the only sums
+    over P that errors_of reads. The first pass makes W from a rebuild
+    of L, and no later pass allocates a data-sized array. Assigning any
+    other field drops the scratch, as do dataclasses.replace (it is not
+    an argument of the constructor) and a pass that fails, and a pass
+    for another x or lam builds it anew. A write into a field's array in
+    place is not seen, and leaves the scratch stale.
     """
 
     a: np.ndarray            # m x r basis
@@ -170,6 +168,12 @@ class SolverState:
     mu_k_cap: float
     iteration: int = 0
     scratch: _Scratch | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        # a new value of any field outdates the sums and W the scratch holds
+        if name != "scratch":
+            object.__setattr__(self, "scratch", None)
+        object.__setattr__(self, name, value)
 
     def outliers(self, lam):
         """The exact E-step E = shrink(v, lam) / mu, divided as a product with 1 / mu.
@@ -340,26 +344,26 @@ def _update_core(split, dual_split, mu_k, alpha):
 def iterate(state, x, config):
     """Run one full pass that advances state in place, and return state.
 
-    The pass assigns every iterate and the pass count on state. It
-    starts at the A solve, from the scratch's W (see SolverState); the
-    products with W run on the whole stack, as the A target sums over
-    every slice. Then one sweep over blocks of slices that stay in cache
-    makes per block: L' into v's array; Lambda' = W - mu L', then
-    v' = mu' (X - L') + Lambda', over W; the next pass's
-    W' = mu' L' + clip(v', -lam, lam) over L'; and the check's sums over
-    P = X - L' - E' for the E-step E' = (v' - clip(v')) / mu'. Each
-    slice's sums come from that slice alone, so they equal a rebuild's
-    bit for bit whatever the block size. The two arrays then swap roles;
-    dual_split gets a new array, as states made with replace share it.
-    Numerical failures in the basis or split updates are re-raised as
-    SolverError carrying the pass number.
+    The pass assigns every iterate and the pass count on state, and then
+    its scratch (see SolverState). It starts at the A solve, from the
+    scratch's W; the products with W run on the whole stack, as the A
+    target sums over every slice. Then one sweep over blocks of slices
+    that stay in cache makes per block: L' into v's array;
+    Lambda' = W - mu L', then v' = mu' (X - L') + Lambda', over W; the
+    next pass's W' = mu' L' + clip(v', -lam, lam) over L'; and the
+    check's sums over P = X - L' - E' for the E-step
+    E' = (v' - clip(v')) / mu'. Each slice's sums come from that slice
+    alone, so they do not depend on the block size. The two arrays then
+    swap roles; dual_split gets a new array, as states made with replace
+    share it. Numerical failures in the basis or split updates are
+    re-raised as SolverError carrying the pass number.
     """
     mu, mu_k, lam = state.mu, state.mu_k, config.lam
-    work = state.scratch
+    work, state.scratch = state.scratch, None  # a pass that fails leaves none
     if work is None or not work.serves(x, lam):
         (m, n, num), r = x.shape, len(state.split)
         step = min(num, max(1, BLOCK_BYTES // (8 * m * n)))
-        work = state.scratch = _Scratch(
+        work = _Scratch(
             x, lam, slice_norms(x) ** 2, reconstruct(state.split, state.a, state.b),
             np.empty((m, n, step, 2), order="F"), np.empty(num), np.empty((num, r, r)),
         )
@@ -375,7 +379,6 @@ def iterate(state, x, config):
         del wa  # freed before the rebuild below allocates its own intermediate
         core = _update_core(k, state.dual_split, mu_k, config.alpha)
     except np.linalg.LinAlgError as exc:
-        state.scratch = None
         raise SolverError(
             f"iteration {state.iteration + 1}: {exc}", state.iteration + 1, None
         ) from exc
@@ -400,11 +403,12 @@ def iterate(state, x, config):
     state.dual_split = state.dual_split + mu_k * (core - k)
     state.mu, state.mu_k = mu_next, min(state.mu_k_cap, RHO * mu_k)
     state.iteration += 1
+    state.scratch = work
     return state
 
 
 def errors_of(state, x, config):
-    """Worst-slice squared relative residuals (err_rec, err_split).
+    """Worst-slice squared relative residuals (err_rec, err_split) of the last pass.
 
     err_rec measures X_i - a R_i b.T - E_i against ||X_i||_F^2, for the
     state's E-step E = state.outliers(config.lam), which solve returns, and
@@ -415,21 +419,15 @@ def errors_of(state, x, config):
     The residual is never rebuilt. With P = X - a K b.T - E and
     Delta = K - R, slice i of it is P_i + a Delta_i b.T, so its squared
     norm is ||P_i||^2 + 2 <a.T P_i b, Delta_i> + <(a.T a) Delta_i (b.T b),
-    Delta_i>, clamped at 0 against rounding: ||P_i||^2 and the r-skinny
-    projection a.T P_i b, then r x r work.
-
-    When the state's scratch (see SolverState) was built for this x and
-    lam, it checks the pass iterate just made from the sums the scratch
-    holds and reads no data-sized array. Any other state, x or lam has P
-    built here, and the same sums of it give the scratch's values bit
-    for bit.
+    Delta_i>, clamped at 0 against rounding: the scratch's sums over P
+    (see SolverState), then r x r work. A state whose scratch was not
+    built for this x and lam raises ValueError.
     """
     a, b, work = state.a, state.b, state.scratch
-    if work is not None and work.serves(x, config.lam):
-        p_sq, cross, x_sq = work.p_sq, work.cross, work.x_sq
-    else:
-        p = x - reconstruct(state.split, a, b) - state.outliers(config.lam)
-        (p_sq, cross), x_sq = _residual_terms(p, a, b), slice_norms(x) ** 2
+    if work is None or not work.serves(x, config.lam):
+        raise ValueError("the state has no scratch for this x and lam: errors_of checks "
+                         "the last pass of iterate, and a state built or edited since has none")
+    p_sq, cross, x_sq = work.p_sq, work.cross, work.x_sq
     # each term is an inner product of transposed r x r slices, stacked
     # (N, r, r): Delta_i.T, (a.T P_i b).T and ((a.T a) Delta_i (b.T b)).T
     gap = state.split - state.core
@@ -460,10 +458,8 @@ def solve(x, config=None):
     attached, as does an x whose squared slice norms overflow or
     underflow float64, which initialize rejects at iteration 1.
 
-    Each pass is one call of iterate, which advances the solve's one
-    state in place, and one errors_of check; SolverState states what the
-    scratch they share holds. A pass makes one low-rank rebuild. The
-    outliers returned are the final state's E-step shrink(v, lam) / mu,
+    Each pass is one call of iterate on the solve's one state and one
+    errors_of check of it. The outliers returned are the final state's E-step shrink(v, lam) / mu,
     made in v's array, so the last check measured the returned triple
     and converged certifies it. After the first pass at which x or the
     core has a zero-norm slice, solve warns once, at its caller.

@@ -16,8 +16,6 @@ from kdrsdl import (
     SolverConfig,
     SyntheticSpec,
     generate,
-    initialize,
-    iterate,
     mode_product,
     read_image,
     read_tensor,
@@ -37,6 +35,8 @@ from kdrsdl.solver import (
     _split,
     _update_core,
     _weighted_data,
+    initialize,
+    iterate,
 )
 from kdrsdl.synthetic import density
 

@@ -425,6 +425,39 @@ def test_bundle_missing_file(tmp_path, small_result):
         load_bundle(out)
 
 
+@pytest.mark.parametrize(
+    "name, tensor, got, expected",
+    [
+        # a depth-2 A once loaded as its first slice
+        ("A.kdt", lambda fac: np.stack([fac.a, fac.a], axis=2), (12, 4, 2), (12, 4, 1)),
+        # an A narrower than the core once failed only in low_rank()
+        ("A.kdt", lambda fac: fac.a[:, :3, np.newaxis], (12, 3, 1), (12, 4, 1)),
+        ("B.kdt", lambda fac: np.stack([fac.b, fac.b], axis=2), (10, 4, 2), (10, 4, 1)),
+        ("R.kdt", lambda fac: fac.core[:, :, :2], (4, 4, 2), (4, 4, 3)),
+        ("E.kdt", lambda fac: fac.outliers[:11], (11, 10, 3), (12, 10, 3)),
+    ],
+)
+def test_bundle_refuses_files_that_disagree(tmp_path, small_result, name, tensor, got, expected):
+    fac, cfg = small_result
+    out = tmp_path / "run"
+    save_bundle(out, fac, cfg)
+    write_tensor(out / name, tensor(fac))
+    with pytest.raises(StorageError, match=re.escape(f"{out / name}: shape {got} ")) as info:
+        load_bundle(out)
+    assert str(expected) in str(info.value)
+
+
+def test_bundle_refuses_a_trace_shorter_than_its_iterations(tmp_path, small_result):
+    fac, cfg = small_result
+    out = tmp_path / "run"
+    save_bundle(out, fac, cfg)
+    rows = fac.iterations
+    write_trace(out / "trace.csv", fac.trace[:-1])
+    with pytest.raises(StorageError, match=re.escape(f"trace.csv: shape ({rows - 1}, 4) ")) as info:
+        load_bundle(out)
+    assert f"({rows}, 4)" in str(info.value)
+
+
 def test_bundle_config_roundtrip(tmp_path, small_result):
     fac, cfg = small_result
     out = tmp_path / "run"

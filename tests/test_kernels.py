@@ -9,13 +9,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kdrsdl import SolverConfig, iterate, mode_product, reconstruct, shrink, solve_stein
+from kdrsdl import SolverConfig, mode_product, reconstruct, shrink, solve_stein
 from kdrsdl.solver import (
     SolverState,
     _gram,
     _target_a,
     _target_b,
     _weighted_data,
+    iterate,
 )
 
 RTOL = 1e-12

@@ -12,13 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kdrsdl
 from kdrsdl import (
     SolverConfig,
     SyntheticSpec,
-    errors_of,
     generate,
-    initialize,
-    iterate,
     reconstruct,
     relative_error,
     rpca_slices,
@@ -26,7 +24,16 @@ from kdrsdl import (
 )
 from kdrsdl import linalg, rpca, solver, tensor  # modules, for monkeypatching
 from kdrsdl.linalg import _one_blas_thread, _openblas_controls, shrink
-from kdrsdl.solver import _basis_a, _basis_b, _weighted_data
+from kdrsdl.solver import (
+    _Scratch,
+    _basis_a,
+    _basis_b,
+    _residual_terms,
+    _weighted_data,
+    errors_of,
+    initialize,
+    iterate,
+)
 from kdrsdl.tensor import as_tensor, mode_product, slice_norms
 
 
@@ -423,6 +430,36 @@ def test_carried_difference_matches_a_fresh_rebuild():
         assert state_bits(carried) == state_bits(fresh)
 
 
+@pytest.mark.parametrize("name, factor", [("mu", 2.0), ("v", 1.5), ("a", 1.1)])
+def test_a_field_assignment_drops_the_scratch(name, factor):
+    """A field assigned on the state gives the pass of the same edit made by replace.
+
+    A pass from the W the scratch holds for the old field would differ.
+    Until its next pass the edited state has no scratch, so errors_of
+    refuses it.
+    """
+    x, _ = generate(SyntheticSpec(12, 10, 4, 2, 2, 3, 0.7, 4))
+    cfg = SolverConfig(r=3).resolved(12, 10)
+    edited, reference = initialize(x, cfg), initialize(x, cfg)
+    iterate(edited, x, cfg)
+    iterate(reference, x, cfg)
+    setattr(edited, name, factor * getattr(edited, name))
+    with pytest.raises(ValueError, match="no scratch for this x and lam"):
+        errors_of(edited, x, cfg)
+    replaced = replace(reference, **{name: factor * getattr(reference, name)})
+    iterate(edited, x, cfg)
+    iterate(replaced, x, cfg)
+    assert state_bits(edited) == state_bits(replaced)
+    assert errors_of(edited, x, cfg) == errors_of(replaced, x, cfg)
+
+
+def test_the_step_wise_api_is_not_exported():
+    step_wise = ("SolverState", "errors_of", "initialize", "iterate")
+    assert not set(step_wise) & set(kdrsdl.__all__)
+    assert len(kdrsdl.__all__) == 27
+    assert all(callable(getattr(solver, name)) for name in step_wise)
+
+
 def test_a_new_lam_rebuilds_the_scratch():
     """The carried W holds clip(v, -lam, lam), so a pass under another lam makes it anew.
 
@@ -666,7 +703,7 @@ def test_errors_of_exact_state():
     rng = np.random.default_rng(5)
     cfg = SolverConfig(r=2).resolved(6, 5)
     state, x = consistent_state(rng, 6, 5, 3, 2, cfg)
-    err_rec, err_split = errors_of(state, x, cfg)
+    err_rec, err_split = errors_of(rebuilt(state, x, cfg), x, cfg)
     assert err_rec <= 1e-12
     assert err_split == 0.0
 
@@ -676,7 +713,7 @@ def test_errors_of_split_equal_core():
     x = rng.standard_normal((7, 6, 2))
     cfg = SolverConfig(r=3).resolved(7, 6)
     state = initialize(x, cfg)
-    _, err_split = errors_of(state, x, cfg)
+    _, err_split = errors_of(rebuilt(state, x, cfg), x, cfg)
     assert err_split == 0.0
 
 
@@ -689,7 +726,7 @@ def test_errors_of_perturbation_identity():
     outliers = np.zeros_like(x)
     outliers[:, :, 1] = delta
     state, exact = with_outliers(state, cfg, outliers)
-    err_rec, _ = errors_of(state, x, exact)
+    err_rec, _ = errors_of(rebuilt(state, x, exact), x, exact)
     expected = np.linalg.norm(delta) ** 2 / np.linalg.norm(x[:, :, 1]) ** 2
     assert abs(err_rec - expected) <= 1e-12 * expected
 
@@ -708,14 +745,14 @@ def test_errors_of_floors_zero_slices_without_warning():
     state, exact = with_outliers(replace(state, split=split), cfg, outliers)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        err_rec, err_split = errors_of(state, x, exact)
+        err_rec, err_split = errors_of(rebuilt(state, x, exact), x, exact)
         assert err_rec == pytest.approx(1.0, rel=1e-12)
         assert err_split == pytest.approx(1.0, rel=1e-12)
         # and on the scratch's path, after a real pass
         x[0, 0, 1] = 1.0
         state = iterate(initialize(x, cfg), x, cfg)
-        rebuilt = errors_of(replace(state), x, cfg)
-        assert errors_of(state, x, cfg) == pytest.approx(rebuilt, rel=1e-12)
+        expected = errors_of(rebuilt(state, x, cfg), x, cfg)
+        assert errors_of(state, x, cfg) == pytest.approx(expected, rel=1e-12)
 
 
 def test_errors_of_reads_an_overflowing_ratio_as_inf():
@@ -737,7 +774,7 @@ def test_errors_of_reads_an_overflowing_ratio_as_inf():
         err_rec, err_split = errors_of(state, x, cfg)
         assert err_split == np.inf
         assert abs(err_rec - direct_err_rec(state, x, cfg)) <= 1e-12
-        err_rec, err_split = errors_of(replace(state), x, cfg)
+        err_rec, err_split = errors_of(rebuilt(state, x, cfg), x, cfg)
         assert err_split == np.inf
         assert abs(err_rec - direct_err_rec(state, x, cfg)) <= 1e-12
 
@@ -748,6 +785,19 @@ def with_outliers(state, cfg, outliers):
     E = shrink(v, lam) / mu, so at lam = 1e-300 v = mu E gives E.
     """
     return replace(state, v=state.mu * outliers), replace(cfg, lam=1e-300)
+
+
+def rebuilt(state, x, cfg):
+    """A copy of state whose scratch holds the sums over a rebuilt P, for errors_of.
+
+    P = X - a K b.T - E for the state's E-step, the residual whose sums
+    a pass keeps; the copy's scratch serves errors_of only, not a pass.
+    """
+    p = x - reconstruct(state.split, state.a, state.b) - state.outliers(cfg.lam)
+    copy = replace(state)
+    terms = _residual_terms(p, state.a, state.b)
+    copy.scratch = _Scratch(x, cfg.lam, slice_norms(x) ** 2, None, None, *terms)
+    return copy
 
 
 def direct_err_rec(state, x, cfg):
@@ -770,8 +820,8 @@ def test_errors_of_matches_the_direct_residual(m, n, num, data, k, passes, seed)
     """The r x r form of the check agrees with the rebuilt residual at any scale.
 
     After real passes the scratch holds the last pass's P and K != R, so
-    every term of the formula is live; a state made with replace has no
-    scratch, so the check builds P itself and must agree too.
+    every term of the formula is live; the same sums over a rebuilt P
+    must agree too.
     """
     r = data.draw(st.integers(1, min(m, n)), label="r")
     x = np.random.default_rng(seed).standard_normal((m, n, num)) * 2.0**k
@@ -781,7 +831,7 @@ def test_errors_of_matches_the_direct_residual(m, n, num, data, k, passes, seed)
         iterate(state, x, cfg)
     expected = direct_err_rec(state, x, cfg)
     assert abs(errors_of(state, x, cfg)[0] - expected) <= 1e-12
-    assert abs(errors_of(replace(state), x, cfg)[0] - expected) <= 1e-12
+    assert abs(errors_of(rebuilt(state, x, cfg), x, cfg)[0] - expected) <= 1e-12
 
 
 def test_errors_of_reads_an_exact_zero_residual_as_zero():
@@ -794,7 +844,7 @@ def test_errors_of_reads_an_exact_zero_residual_as_zero():
     rng = np.random.default_rng(5)
     cfg = SolverConfig(r=2).resolved(6, 5)
     state, x = consistent_state(rng, 6, 5, 3, 2, cfg)
-    assert errors_of(state, x, cfg)[0] == 0.0
+    assert errors_of(rebuilt(state, x, cfg), x, cfg)[0] == 0.0
 
     x = np.ones((3, 1, 1))
     cfg = SolverConfig(r=1).resolved(3, 1)
@@ -802,30 +852,31 @@ def test_errors_of_reads_an_exact_zero_residual_as_zero():
     ones = np.ones((1, 1, 1), order="F")
     state = replace(state, a=np.ones((3, 1)), b=np.ones((1, 1)), core=ones, split=2 * ones)
     assert direct_err_rec(state, x, cfg) == 0.0
-    assert errors_of(state, x, cfg)[0] == 0.0
+    assert errors_of(rebuilt(state, x, cfg), x, cfg)[0] == 0.0
 
 
-def test_errors_of_builds_p_for_an_x_the_scratch_did_not_see():
-    """The scratch's P is read only for the x it was filled from.
+def test_errors_of_refuses_a_state_without_a_scratch_for_its_x_and_lam():
+    """The scratch's sums over P are read only for the x and lam of its pass.
 
-    Given another x, or a state made with replace (which drops the
-    scratch), errors_of must build P itself, not read a stale one.
+    Another x, another lam, a state made with replace and a state no pass
+    has advanced raise ValueError, not a check of a stale P.
     """
     x, _ = generate(SyntheticSpec(m=12, n=10, num_slices=4, rank_a=2, rank_b=2, r=3, p=0.7, seed=0))
     cfg = SolverConfig(r=3).resolved(12, 10)
     state = initialize(x, cfg)
     for _ in range(3):
         iterate(state, x, cfg)
-    stale = errors_of(state, x, cfg)[0]
-    x2 = x + 0.5
-    got = errors_of(state, x2, cfg)[0]
-    assert got != stale
-    assert abs(got - direct_err_rec(state, x2, cfg)) <= 1e-12
-
-    fresh = replace(state, v=state.v + 0.25)
-    got = errors_of(fresh, x, cfg)[0]
-    assert got != stale
-    assert abs(got - direct_err_rec(fresh, x, cfg)) <= 1e-12
+    errors_of(state, x, cfg)
+    cases = [
+        (state, x + 0.5, cfg),
+        (state, x.copy(), cfg),
+        (state, x, replace(cfg, lam=0.5 * cfg.lam)),
+        (replace(state, v=state.v + 0.25), x, cfg),
+        (initialize(x, cfg), x, cfg),
+    ]
+    for edited, data, config in cases:
+        with pytest.raises(ValueError, match="no scratch for this x and lam"):
+            errors_of(edited, data, config)
 
 
 @pytest.mark.filterwarnings("ignore:zero-norm slices")
@@ -909,18 +960,14 @@ def test_solve_does_not_depend_on_the_block_size_at_large_slices(m, n, num, r, p
 
 @pytest.mark.parametrize("m, n, num, r", [(100, 100, 50, 20), (60, 80, 30, 1)])
 def test_errors_of_reads_the_scratch_as_a_rebuild_would(m, n, num, r):
-    """After every pass the scratch's sums give the rebuilt check's bits exactly.
-
-    A copy of x is another array, so errors_of rebuilds P = X - a K b.T - E
-    for it instead of reading the sums the pass left.
-    """
+    """After every pass the scratch's sums give the bits of the same sums over a rebuilt P."""
     spec = SyntheticSpec(m=m, n=n, num_slices=num, rank_a=min(r, 5), rank_b=min(r, 5), r=r, p=0.7, seed=0)
     x, _ = generate(spec)
     cfg = SolverConfig(r=r).resolved(m, n)
     state = initialize(x, cfg)
     for _ in range(8):
         iterate(state, x, cfg)
-        assert errors_of(state, x, cfg) == errors_of(state, np.copy(x, order="F"), cfg)
+        assert errors_of(state, x, cfg) == errors_of(rebuilt(state, x, cfg), x, cfg)
 
 
 @pytest.mark.parametrize("r", [2, 20])
